@@ -13,10 +13,13 @@ also prints them, so running with ``-s`` shows them live.
 from __future__ import annotations
 
 import json
+import os
 import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from repro.core import predict_over_records
 from repro.core.pipeline import BENCHMARK_CONFIG, train_sizing_model
@@ -107,6 +110,34 @@ def write_result(name: str, lines) -> str:
     return text
 
 
+def machine_fingerprint() -> dict:
+    """Core count, CPU model, numpy/scipy versions and BLAS vendor.
+
+    Stamped on every perf snapshot so a number can be read against the
+    machine that produced it.
+    """
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as handle:
+            cpu = next(
+                line.split(":", 1)[1].strip() for line in handle if line.startswith("model name")
+            )
+    except (OSError, StopIteration):
+        pass
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return {
+        "cores": os.cpu_count(),
+        "cpu_model": cpu,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas,
+    }
+
+
 def write_bench_json(name: str, payload: dict) -> Path:
     """Write a machine-readable perf snapshot to ``BENCH_<name>.json``.
 
@@ -121,6 +152,8 @@ def write_bench_json(name: str, payload: dict) -> Path:
     committed representative snapshot; it lands in
     ``BENCH_<name>.local.json`` (gitignored) instead, so the committed
     trajectory only ever records runs the floor actually vouches for.
+
+    Every snapshot carries a ``machine`` block (:func:`machine_fingerprint`).
     """
     path = BENCH_JSON_DIR / f"BENCH_{name}.json"
     if payload.get("speedup_floor_enforced") is False and path.exists():
@@ -129,6 +162,7 @@ def write_bench_json(name: str, payload: dict) -> Path:
     document = {
         "bench": name,
         "python": platform.python_version(),
+        "machine": machine_fingerprint(),
         **payload,
     }
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")

@@ -4,14 +4,14 @@ Running this script is optional -- the benchmarks train (and cache) the
 same artifact on first use -- but doing it ahead of time keeps the first
 ``pytest benchmarks/`` invocation fast.
 
-``--bench-smoke`` runs the model-free smoke benches instead (the
-round-batched verification, stacked-corner, transient and
-serve-throughput modes) -- no training, minutes-free -- so the per-PR
+``--bench-smoke`` runs the model-free smoke benches instead -- the same
+selection the CI bench-smoke steps run, no training -- so the committed
 ``BENCH_*.json`` perf snapshots can be regenerated in one command:
 
     PYTHONPATH=src python scripts/build_bench_artifact.py --bench-smoke
 """
 import argparse
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -19,22 +19,30 @@ from pathlib import Path
 CACHE_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / ".artifact_cache"
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
-#: The model-free smoke selection: each of these emits a ``BENCH_*.json``
-#: snapshot at the repo root on top of its parity/speedup assertions.
-SMOKE_ARGS = [
-    str(BENCH_DIR / "bench_table8_runtime.py"),
-    str(BENCH_DIR / "bench_serve_throughput.py"),
-    "-k",
-    "verification_throughput or corner_throughput or tran_throughput "
-    "or serve_throughput",
-    "-q",
+#: The model-free smoke selection, one pytest run per CI bench-smoke step;
+#: most of them also write a ``BENCH_*.json`` snapshot at the repo root.
+SMOKE_RUNS = [
+    [str(BENCH_DIR / "bench_table9_comparison.py"), "-k", "population_throughput"],
+    [
+        str(BENCH_DIR / "bench_table8_runtime.py"),
+        "-k",
+        "verification_throughput or corner_throughput or tran_throughput or solver_scaling",
+    ],
+    [str(BENCH_DIR / "bench_alg1_width_estimator.py")],
+    [str(BENCH_DIR / "bench_serve_throughput.py")],
+    [str(BENCH_DIR / "bench_shard.py")],
+    [str(BENCH_DIR / "bench_checks.py")],
 ]
 
 
 def run_bench_smoke() -> int:
-    import pytest
-
-    return pytest.main(SMOKE_ARGS)
+    """Run every smoke selection (each in its own pytest process); the
+    exit status is the first failing run's, or 0."""
+    status = 0
+    for args in SMOKE_RUNS:
+        code = subprocess.call([sys.executable, "-m", "pytest", *args, "-q"])
+        status = status or code
+    return status
 
 
 def build_artifact() -> int:

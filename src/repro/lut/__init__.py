@@ -1,7 +1,13 @@
 """Precomputed lookup tables and gm/Id width estimation (Stage III)."""
 
 from .table import LUT_OUTPUTS, LookupTable, build_lut
-from .width_estimator import DeviceParams, WidthEstimate, estimate_width
+from .width_estimator import (
+    DeviceParams,
+    WidthEstimate,
+    WidthEstimates,
+    estimate_width,
+    estimate_widths,
+)
 
 __all__ = [
     "LUT_OUTPUTS",
@@ -9,5 +15,7 @@ __all__ = [
     "build_lut",
     "DeviceParams",
     "WidthEstimate",
+    "WidthEstimates",
     "estimate_width",
+    "estimate_widths",
 ]

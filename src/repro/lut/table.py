@@ -12,6 +12,11 @@ values lets any width be recovered by ratioing -- the gm/Id methodology.
 As in the paper, the relatively coarse 60 mV grid is augmented with cubic
 spline interpolation (``scipy.interpolate.RectBivariateSpline``) so queries
 at intermediate bias points stay accurate.
+
+Every query is vectorised: :meth:`LookupTable.query_grid` evaluates one
+output at every (``Vgs`` row, ``Vds`` column) pair in a single grid call,
+and :meth:`LookupTable.find_vgs_for_gm_id_many` inverts gm/Id for a whole
+batch of devices by fixed-step bisection.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
-from scipy.optimize import brentq
 
 from ..devices import NMOS_65NM, PMOS_65NM, TechParams
 from ..spice.sweep import CharacterizationResult, characterize_device
@@ -31,6 +35,9 @@ __all__ = ["LookupTable", "build_lut", "LUT_OUTPUTS"]
 LUT_OUTPUTS = ("id", "gm", "gds", "cds", "cgs")
 
 ArrayLike = float | np.ndarray
+
+#: Absolute ``Vgs`` tolerance of the gm/Id inversion (V).
+VGS_XTOL = 1e-7
 
 
 class LookupTable:  # checks: process-shared
@@ -53,6 +60,10 @@ class LookupTable:  # checks: process-shared
             name: RectBivariateSpline(self.vgs_grid, self.vds_grid, table, kx=degree, ky=degree)
             for name, table in self.tables.items()
         }
+        # Fixed bisection depth that shrinks the gm/Id bracket below
+        # VGS_XTOL; fixed so a row's answer never depends on its batch.
+        span = float(self.vgs_grid[-1]) - float(self.vgs_grid[1])
+        self._bisection_steps = int(np.ceil(np.log2(span / VGS_XTOL)))
 
     # ------------------------------------------------------------------
     # Queries
@@ -64,6 +75,22 @@ class LookupTable:  # checks: process-shared
         vgs_arr = np.asarray(vgs, dtype=float)
         vds_arr = np.asarray(vds, dtype=float)
         result = self._splines[output](vgs_arr, vds_arr, grid=False)
+        return result
+
+    def query_grid(self, output: str, vgs: np.ndarray, vds: np.ndarray) -> np.ndarray:
+        """One output at every ``(vgs[i], vds[j])`` pair, shape ``(len(vgs), len(vds))``.
+
+        ``vgs`` need not be sorted: it is sorted for the spline's grid
+        evaluation and the rows are put back in input order.  Each entry
+        is bit-identical to the pointwise :meth:`query` at that pair.
+        """
+        if output not in self._splines:
+            raise KeyError(f"unknown LUT output {output!r}; expected one of {LUT_OUTPUTS}")
+        vgs_arr = np.asarray(vgs, dtype=float)
+        order = np.argsort(vgs_arr, kind="stable")
+        values = self._splines[output](vgs_arr[order], np.asarray(vds, dtype=float), grid=True)
+        result = np.empty_like(values)
+        result[order] = values
         return result
 
     def query_all(self, vgs: ArrayLike, vds: ArrayLike) -> dict[str, np.ndarray]:
@@ -98,22 +125,35 @@ class LookupTable:  # checks: process-shared
 
         Targets outside the achievable range are clamped to the nearest
         endpoint (the paper's copilot loop then corrects residual error via
-        the verification stage).
+        the verification stage).  A batch of one through
+        :meth:`find_vgs_for_gm_id_many`.
         """
-        if target <= 0:
-            raise ValueError(f"gm/Id target must be positive, got {target}")
+        return float(self.find_vgs_for_gm_id_many(np.array([target]), np.array([vds]))[0])
+
+    def find_vgs_for_gm_id_many(self, targets: np.ndarray, vds: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`find_vgs_for_gm_id`: one ``Vgs`` per (target, Vds) row.
+
+        Bisection on ``[vgs_grid[1], vgs_grid[-1]]`` with a fixed step
+        count, so every row ends within :data:`VGS_XTOL` of a root and
+        its answer does not depend on the other rows of the batch.
+        """
+        targets = np.asarray(targets, dtype=float)
+        vds = np.broadcast_to(np.asarray(vds, dtype=float), targets.shape)
+        if not np.all(targets > 0):
+            raise ValueError(f"gm/Id targets must be positive, got {targets[~(targets > 0)]}")
         vgs_lo = float(self.vgs_grid[1])
         vgs_hi = float(self.vgs_grid[-1])
-        low, high = self.gm_id_range(vds)
-        if target >= high:
-            return vgs_lo
-        if target <= low:
-            return vgs_hi
-
-        def objective(vgs: float) -> float:
-            return float(self.gm_over_id(vgs, vds)) - target
-
-        return float(brentq(objective, vgs_lo, vgs_hi, xtol=1e-7))
+        lower = np.full(targets.shape, vgs_lo)
+        upper = np.full(targets.shape, vgs_hi)
+        for _ in range(self._bisection_steps):
+            middle = 0.5 * (lower + upper)
+            # gm/Id falls with Vgs: above the target, the root lies higher.
+            above = self.gm_over_id(middle, vds) > targets
+            lower = np.where(above, middle, lower)
+            upper = np.where(above, upper, middle)
+        vgs = 0.5 * (lower + upper)
+        vgs = np.where(targets <= self.gm_over_id(vgs_hi, vds), vgs_hi, vgs)
+        return np.where(targets >= self.gm_over_id(vgs_lo, vds), vgs_lo, vgs)
 
     # ------------------------------------------------------------------
     # Persistence

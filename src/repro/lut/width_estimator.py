@@ -19,6 +19,30 @@ Two update rules for ``Vds`` are provided: ``"paper"`` reproduces line 14's
 small signed step (``alpha = 1e-4``), while the default ``"jump"`` moves
 straight to the scanned cost minimizer, which converges in 2-3 iterations
 to the same fixed point (covered by a regression test).
+
+One kernel, :func:`estimate_widths`, runs the algorithm for a whole batch
+of devices that share a LUT; the sizing engine calls it once per copilot
+round and LUT, over every device of every request that parsed in that
+round.  Each row keeps its own active mask, so its iterations, stopping
+rule and strict-``<`` best-so-far are exactly those of a lone run, and its
+result is bit-identical whatever other rows share the call.  Per
+iteration the batch costs:
+
+* one grid evaluation per LUT output for the ``Vds`` scan: the spline is
+  evaluated on the outer product (rows' ``Vgs`` sorted) x ``Vds`` scan
+  and the rows are un-sorted, which is bit-identical to evaluating each
+  row pointwise but far cheaper;
+* one vectorised gm/Id -> ``Vgs`` inversion
+  (:meth:`~repro.lut.LookupTable.find_vgs_for_gm_id_many`): a bisection
+  with a fixed step count, so the answer is within ``1e-7`` V of a root.
+  It replaced a per-device ``brentq`` solve; the two agree to within
+  ``1e-6`` V in ``Vgs`` and ``1e-5`` relative width (an oracle test pins
+  this), not bit for bit.
+
+Rows whose predicted parameters are not all positive and finite are not
+estimated; they come back with ``valid == False`` and an infinite spread,
+so a caller rejects them like an inconsistent prediction.
+:func:`estimate_width` is a batch of one.
 """
 
 from __future__ import annotations
@@ -29,7 +53,13 @@ import numpy as np
 
 from .table import LookupTable
 
-__all__ = ["DeviceParams", "WidthEstimate", "estimate_width"]
+__all__ = [
+    "DeviceParams",
+    "WidthEstimate",
+    "WidthEstimates",
+    "estimate_width",
+    "estimate_widths",
+]
 
 
 @dataclass(frozen=True)
@@ -82,32 +112,181 @@ _CANDIDATE_OUTPUTS = ("gm", "gds", "cds", "cgs", "id")
 _COST_OUTPUTS = ("gm", "gds", "cds", "cgs")
 
 
-def _candidate_widths(
-    params: DeviceParams, lut: LookupTable, vgs: float, vds_grid: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Candidate widths ``w_i(Vds)`` at fixed ``Vgs`` (line 10)."""
-    predicted = {
-        "gm": params.gm,
-        "gds": params.gds,
-        "cds": params.cds,
-        "cgs": params.cgs,
-        "id": params.id,
-    }
-    candidates: dict[str, np.ndarray] = {}
-    for output in _CANDIDATE_OUTPUTS:
-        per_width = lut.query(output, vgs, vds_grid)
-        candidates[output] = predicted[output] / np.maximum(per_width, 1e-30)
-    return candidates
+@dataclass(frozen=True)
+class WidthEstimates:
+    """Result of Algorithm 1 for a batch of devices, one row per device.
+
+    ``candidates`` holds ``w1..w5`` per row, columns in
+    ``("gm", "gds", "cds", "cgs", "id")`` order.  A row whose predicted
+    parameters are not all positive and finite is not estimated:
+    ``valid`` is ``False``, its values are NaN and its spread infinite.
+    """
+
+    width: np.ndarray
+    vgs: np.ndarray
+    vds: np.ndarray
+    candidates: np.ndarray
+    cost: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    valid: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.width)
+
+    def spread(self) -> np.ndarray:
+        """Per-row :meth:`WidthEstimate.spread` (infinite for invalid rows)."""
+        mean = np.mean(self.candidates, axis=1)
+        spread = np.full(len(self), np.inf)
+        ok = self.valid & (mean != 0)
+        values = self.candidates[ok]
+        spread[ok] = (np.max(values, axis=1) - np.min(values, axis=1)) / mean[ok]
+        return spread
+
+    def row(self, index: int) -> WidthEstimate:
+        """One row as a :class:`WidthEstimate`."""
+        return WidthEstimate(
+            width=float(self.width[index]),
+            vgs=float(self.vgs[index]),
+            vds=float(self.vds[index]),
+            candidates={
+                name: float(value)
+                for name, value in zip(_CANDIDATE_OUTPUTS, self.candidates[index], strict=True)
+            },
+            cost=float(self.cost[index]),
+            iterations=int(self.iterations[index]),
+            converged=bool(self.converged[index]),
+        )
 
 
-def _cost(candidates: dict[str, np.ndarray]) -> np.ndarray:
-    """Pairwise disagreement cost over ``w1..w4`` (line 11)."""
-    outputs = _COST_OUTPUTS
-    total = np.zeros_like(candidates[outputs[0]])
-    for i, name_i in enumerate(outputs):
-        for name_j in outputs[i + 1 :]:
-            total = total + np.abs(candidates[name_i] - candidates[name_j])
-    return total
+def estimate_widths(
+    lut: LookupTable,
+    gm: np.ndarray,
+    gds: np.ndarray,
+    cds: np.ndarray,
+    cgs: np.ndarray,
+    id: np.ndarray,
+    vdd: float | np.ndarray = 1.2,
+    alpha: float = 1e-4,
+    epsilon: float | np.ndarray | None = None,
+    max_iterations: int = 50,
+    vds_points: int = 241,
+    update: str = "jump",
+) -> WidthEstimates:
+    """Run Algorithm 1 on a batch of devices that share one LUT.
+
+    Parameters
+    ----------
+    gm, gds, cds, cgs, id:
+        Predicted parameters, one entry per row (broadcast together).
+    lut:
+        Per-unit-width lookup table for the rows' device type.
+    vdd:
+        Supply voltage per row (or one for all); the initial guess is
+        ``Vds = Vdd/2`` (line 3).
+    alpha:
+        Step factor of the ``"paper"`` update rule (line 14).
+    epsilon:
+        Convergence threshold on the cost change (line 5); defaults per
+        row to a value scaled to the candidate magnitudes.
+    vds_points:
+        Resolution of the ``Vds`` cost scan (line 12 minimizes over Vds).
+    update:
+        ``"jump"`` (default) sets the next ``Vds`` to the scanned cost
+        minimizer; ``"paper"`` takes line 14's small signed step.
+
+    Each row iterates on its own: it leaves the active set when its cost
+    change falls below its epsilon (or, under ``"jump"``, when its
+    ``Vds`` stops moving), so a row's result is bit-identical whatever
+    other rows share the call.
+    """
+    if update not in ("jump", "paper"):
+        raise ValueError(f"update must be 'jump' or 'paper', got {update!r}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    columns = (np.asarray(v, dtype=float).ravel() for v in (gm, gds, cds, cgs, id))
+    predicted = np.column_stack(np.broadcast_arrays(*columns))
+    rows = len(predicted)
+    vdd = np.broadcast_to(np.asarray(vdd, dtype=float), (rows,))
+    valid = np.all((predicted > 0) & np.isfinite(predicted), axis=1)
+    vds_lo = float(lut.vds_grid[1])
+    vds_hi = float(lut.vds_grid[-1])
+    vds_scan = np.linspace(vds_lo, vds_hi, vds_points)
+
+    if epsilon is None:
+        # Scale the threshold to the size of the answer: candidate widths
+        # are ~w, the cost is a sum of 6 |w_i - w_j| terms.
+        gm_top = lut.query("gm", float(lut.vgs_grid[-1]), vdd / 2.0)
+        rough_width = predicted[:, 0] / np.maximum(gm_top, 1e-30)
+        epsilon = 1e-6 * np.maximum(rough_width, 1e-9)
+    epsilon = np.broadcast_to(np.asarray(epsilon, dtype=float), (rows,))
+
+    vds_curr = vdd / 2.0
+    cost_prev = np.full(rows, np.inf)
+    best_cost = np.full(rows, np.nan)
+    best_vgs = np.full(rows, np.nan)
+    best_vds = np.full(rows, np.nan)
+    best_candidates = np.full((rows, len(_CANDIDATE_OUTPUTS)), np.nan)
+    iterations = np.zeros(rows, dtype=int)
+    converged = np.zeros(rows, dtype=bool)
+    active = np.flatnonzero(valid)
+
+    for iteration in range(1, max_iterations + 1):
+        if active.size == 0:
+            break
+        iterations[active] = iteration
+        params = predicted[active]
+        vds_here = vds_curr[active]
+        vgs = lut.find_vgs_for_gm_id_many(params[:, 0] / params[:, 4], vds_here)
+        # Candidate widths w_i(Vds) at each row's Vgs (line 10):
+        # shape (rows, outputs, Vds scan).
+        candidates = np.stack(
+            [
+                params[:, [k]] / np.maximum(lut.query_grid(name, vgs, vds_scan), 1e-30)
+                for k, name in enumerate(_CANDIDATE_OUTPUTS)
+            ],
+            axis=1,
+        )
+        # Pairwise disagreement cost over w1..w4 (line 11).
+        cost = np.zeros((len(active), vds_points))
+        for i in range(len(_COST_OUTPUTS)):
+            for j in range(i + 1, len(_COST_OUTPUTS)):
+                cost = cost + np.abs(candidates[:, i] - candidates[:, j])
+        k_min = np.argmin(cost, axis=1)
+        picked = np.arange(len(active))
+        cost_curr = cost[picked, k_min]
+        vds_min = vds_scan[k_min]
+
+        # Strict improvement keeps the earliest best (line 12's argmin).
+        better = (iteration == 1) | (cost_curr < best_cost[active])
+        improved = active[better]
+        best_cost[improved] = cost_curr[better]
+        best_vgs[improved] = vgs[better]
+        best_vds[improved] = vds_min[better]
+        best_candidates[improved] = candidates[picked[better], :, k_min[better]]
+
+        delta = cost_prev[active] - cost_curr
+        done = np.abs(delta) < epsilon[active]
+        cost_prev[active] = cost_curr
+        if update == "jump":
+            done |= np.abs(vds_min - vds_here) < 1e-9
+            vds_curr[active] = vds_min
+        else:
+            stepped = vds_here + np.sign(delta) * alpha * vds_here
+            vds_curr[active] = np.clip(stepped, vds_lo, vds_hi)
+        converged[active[done]] = True
+        active = active[~done]
+
+    return WidthEstimates(
+        width=best_candidates[:, 0],  # W <- w1 (line 16)
+        vgs=best_vgs,
+        vds=best_vds,
+        candidates=best_candidates,
+        cost=best_cost,
+        iterations=iterations,
+        converged=converged,
+        valid=valid,
+    )
 
 
 def estimate_width(
@@ -120,80 +299,20 @@ def estimate_width(
     vds_points: int = 241,
     update: str = "jump",
 ) -> WidthEstimate:
-    """Run Algorithm 1: recover the device width from predicted parameters.
-
-    Parameters
-    ----------
-    params:
-        Transformer-predicted ``gm/gds/Cds/Cgs`` plus bias current.
-    lut:
-        Per-unit-width lookup table for the matching device type.
-    vdd:
-        Supply voltage; the initial guess is ``Vds = Vdd/2`` (line 3).
-    alpha:
-        Step factor of the ``"paper"`` update rule (line 14).
-    epsilon:
-        Convergence threshold on the cost change (line 5); defaults to a
-        value scaled to the candidate magnitudes.
-    vds_points:
-        Resolution of the ``Vds`` cost scan (line 12 minimizes over Vds).
-    update:
-        ``"jump"`` (default) sets the next ``Vds`` to the scanned cost
-        minimizer; ``"paper"`` takes line 14's small signed step.
-    """
-    if update not in ("jump", "paper"):
-        raise ValueError(f"update must be 'jump' or 'paper', got {update!r}")
-    vds_lo = float(lut.vds_grid[1])
-    vds_hi = float(lut.vds_grid[-1])
-    vds_scan = np.linspace(vds_lo, vds_hi, vds_points)
-
-    gm_id = params.gm_over_id
-    vds_curr = vdd / 2.0
-    cost_prev = float("inf")
-    best: tuple[float, float, float, dict[str, float]] | None = None
-    converged = False
-    iterations = 0
-
-    if epsilon is None:
-        # Scale the threshold to the size of the answer: candidate widths
-        # are ~w, the cost is a sum of 6 |w_i - w_j| terms.
-        rough_width = params.gm / max(float(lut.query("gm", lut.vgs_grid[-1], vdd / 2.0)), 1e-30)
-        epsilon = 1e-6 * max(rough_width, 1e-9)
-
-    for iterations in range(1, max_iterations + 1):
-        vgs = lut.find_vgs_for_gm_id(gm_id, vds_curr)
-        candidates = _candidate_widths(params, lut, vgs, vds_scan)
-        cost = _cost(candidates)
-        k_min = int(np.argmin(cost))
-        cost_curr = float(cost[k_min])
-        vds_min = float(vds_scan[k_min])
-        chosen = {name: float(candidates[name][k_min]) for name in _CANDIDATE_OUTPUTS}
-        if best is None or cost_curr < best[0]:
-            best = (cost_curr, vgs, vds_min, chosen)
-
-        delta = cost_prev - cost_curr
-        if abs(delta) < epsilon:
-            converged = True
-            break
-        cost_prev = cost_curr
-        vds_prev = vds_curr
-        if update == "jump":
-            if abs(vds_min - vds_curr) < 1e-9:
-                converged = True
-                break
-            vds_curr = vds_min
-        else:
-            vds_curr = vds_curr + float(np.sign(delta)) * alpha * vds_prev
-            vds_curr = float(np.clip(vds_curr, vds_lo, vds_hi))
-
-    assert best is not None
-    cost_best, vgs_best, vds_best, candidates_best = best
-    return WidthEstimate(
-        width=candidates_best["gm"],  # W <- w1 (line 16)
-        vgs=vgs_best,
-        vds=vds_best,
-        candidates=candidates_best,
-        cost=cost_best,
-        iterations=iterations,
-        converged=converged,
+    """Run Algorithm 1 for one device: a batch of one through
+    :func:`estimate_widths` (same parameters, scalar ``vdd``/``epsilon``)."""
+    estimates = estimate_widths(
+        lut,
+        params.gm,
+        params.gds,
+        params.cds,
+        params.cgs,
+        params.id,
+        vdd=vdd,
+        alpha=alpha,
+        epsilon=epsilon,
+        max_iterations=max_iterations,
+        vds_points=vds_points,
+        update=update,
     )
+    return estimates.row(0)

@@ -6,8 +6,10 @@ loop is *round based*: every copilot iteration, all still-active requests
 are grouped by topology (serialization and parsing are per-topology) and
 translated in one greedy decode whose batch spans the whole round — one
 model serves every topology, so the fusion crosses topology boundaries
-(Stage I/II).  Each request then runs width estimation (Stage III), and
-the round's verifiable candidates are verified together: one
+(Stage I/II).  Width estimation (Stage III) then runs once per LUT for
+the whole round: every device of every request that parsed goes through
+one vectorised Algorithm 1 call (:func:`~repro.lut.estimate_widths`).
+The round's verifiable candidates are verified together: one
 ``measure_many`` call per topology through the engine's pluggable
 :class:`~repro.solvers.EvalBackend` (Stage IV), so the verification
 SPICE simulations of a round share one stacked complex MNA factorization
@@ -51,7 +53,9 @@ from ..core.flow import IterationTrace, SizingResult
 from ..core.margin import tighten_spec
 from ..core.specs import DesignSpec
 from ..datagen.serialize import ParsedParams
-from ..lut import DeviceParams, estimate_width
+from ..lut import LookupTable, estimate_widths
+# Unused here, but kept bound: perfbench/spans.py wraps it by this name.
+from ..lut import estimate_width  # noqa: F401
 from ..solvers.backend import BatchedBackend, EvalBackend
 from ..spice import TRAN_METRIC_DIRECTIONS, PerformanceMetrics
 from ..topologies import MeasureOutcome, OTATopology, topology_by_name
@@ -63,6 +67,9 @@ __all__ = ["SizingEngine", "EngineStats"]
 #: Retry nudge applied when an iteration produced nothing verifiable
 #: (unparseable decode, inconsistent widths, or a non-converging design).
 _NUDGE = {"gain_db": 1.01, "f3db_hz": 1.02, "ugf_hz": 1.02}
+
+#: Predicted device parameters in Algorithm 1's argument order.
+_PARAM_NAMES = ("gm", "gds", "cds", "cgs", "id")
 
 
 def _derated_spec(spec: DesignSpec, rel_tol: float) -> DesignSpec:
@@ -217,32 +224,64 @@ class SizingEngine:
 
         Returns ``None`` when the predicted parameters are physically
         inconsistent (width candidates disagree beyond
-        :attr:`max_candidate_spread`), signalling the caller to retry
-        inference instead of wasting a verification simulation.
+        :attr:`max_candidate_spread`, or a parameter is not positive and
+        finite), signalling the caller to retry inference instead of
+        wasting a verification simulation.  A batch of one through
+        :meth:`widths_from_params_many`.
         """
-        widths: dict[str, float] = {}
-        for group in topology.groups:
-            params = parsed_values[group.name]
-            tech = group.tech
-            # gm/Id can never exceed the weak-inversion limit 1/(n*Ut); a
-            # prediction above it is a transcription error on Id -- repair
-            # it rather than letting Algorithm 1 chase an impossible point.
-            gm_id_max = 0.95 / (tech.n_slope * tech.ut)
-            id_value = max(params["id"], params["gm"] / gm_id_max)
-            device_params = DeviceParams(
-                gm=params["gm"],
-                gds=params["gds"],
-                cds=params["cds"],
-                cgs=params["cgs"],
-                id=id_value,
+        return self.widths_from_params_many([(topology, parsed_values)])[0]
+
+    def widths_from_params_many(
+        self, items: Sequence[tuple[OTATopology, dict[str, dict[str, float]]]]
+    ) -> list[dict[str, float] | None]:
+        """:meth:`widths_from_params` for many designs at once.
+
+        Every device of every design runs through Algorithm 1 in one
+        :func:`~repro.lut.estimate_widths` call per LUT, so a copilot
+        round costs one vectorised width estimation per device type.
+        """
+        rows = [
+            (index, topology, group)
+            for index, (topology, _) in enumerate(items)
+            for group in topology.groups
+        ]
+        values = np.array(
+            [
+                [items[index][1][group.name][name] for name in _PARAM_NAMES]
+                for index, _, group in rows
+            ],
+            dtype=float,
+        ).reshape(len(rows), len(_PARAM_NAMES))
+        # gm/Id can never exceed the weak-inversion limit 1/(n*Ut); a
+        # prediction above it is a transcription error on Id -- repair
+        # it rather than letting Algorithm 1 chase an impossible point.
+        gm_id_max = np.array([0.95 / (group.tech.n_slope * group.tech.ut) for *_, group in rows])
+        values[:, 4] = np.maximum(values[:, 4], values[:, 0] / gm_id_max)
+        vdd = np.array([topology.vdd for _, topology, _ in rows])
+
+        members_by_lut: dict[LookupTable, list[int]] = {}
+        for row, (_, topology, group) in enumerate(rows):
+            members_by_lut.setdefault(self.model.lut_for(topology, group.name), []).append(row)
+        width = np.empty(len(rows))
+        accepted = np.empty(len(rows), dtype=bool)
+        for lut, members in members_by_lut.items():
+            estimates = estimate_widths(lut, *values[members].T, vdd=vdd[members])
+            width[members] = estimates.width
+            accepted[members] = estimates.valid & ~(
+                estimates.spread() > self.max_candidate_spread
             )
-            lut = self.model.lut_for(topology, group.name)
-            estimate = estimate_width(device_params, lut, vdd=topology.vdd)
-            if estimate.spread() > self.max_candidate_spread:
-                return None
-            low, high = self.width_bounds
-            widths[group.name] = float(min(max(estimate.width, low), high))
-        return widths
+
+        low, high = self.width_bounds
+        results: list[dict[str, float] | None] = [{} for _ in items]
+        for row, (index, _, group) in enumerate(rows):
+            widths = results[index]
+            if widths is None:
+                continue
+            if not accepted[row]:
+                results[index] = None
+                continue
+            widths[group.name] = float(min(max(width[row], low), high))
+        return results
 
     # ------------------------------------------------------------------
     # Stage I/II: batched inference
@@ -284,19 +323,29 @@ class SizingEngine:
             outputs = self._infer_round(
                 {name: [s.current for s in group] for name, group in by_topology.items()}
             )
-            # Stage III for every request of the round; the candidates that
-            # survive width estimation queue up for one bulk verification
+            # Stage III for the whole round: every complete parse goes
+            # through one vectorised width estimation per LUT.  The
+            # candidates that survive queue up for one bulk verification
             # per (topology, corner axis, analyses pipeline) instead of one
             # simulation per request -- corner requests stack
             # population x corners into the same batched solves, and
             # transient requests batch their step-response integrations.
-            verifiable: dict[tuple, list[tuple[_ActiveRequest, dict[str, float]]]] = {}
+            parsed_states: list[tuple[_ActiveRequest, ParsedParams]] = []
             for name, group in by_topology.items():
                 for state, (parsed, text) in zip(group, outputs[name], strict=True):
-                    widths = self._stage_iii(state, parsed, text)
-                    if widths is not None:
-                        key = (name, state.request.corners, state.request.analyses)
-                        verifiable.setdefault(key, []).append((state, widths))
+                    if self._record_decode(state, parsed, text):
+                        parsed_states.append((state, parsed))
+            round_widths = self.widths_from_params_many(
+                [(state.topology, parsed.values) for state, parsed in parsed_states]
+            )
+            verifiable: dict[tuple, list[tuple[_ActiveRequest, dict[str, float]]]] = {}
+            for (state, _), widths in zip(parsed_states, round_widths, strict=True):
+                if widths is None:
+                    self._retry(state, parsed=True)
+                    continue
+                request = state.request
+                key = (request.topology, request.corners, request.analyses)
+                verifiable.setdefault(key, []).append((state, widths))
             for (name, corners, analyses), pairs in verifiable.items():
                 topology = pairs[0][0].topology
                 widths_list = [widths for _, widths in pairs]
@@ -316,33 +365,26 @@ class SizingEngine:
                         self._stage_iv(state, widths, outcome)
             active = [s for s in active if s.result is None]
 
-    def _stage_iii(
-        self, s: _ActiveRequest, parsed: ParsedParams, text: str
-    ) -> dict[str, float] | None:
-        """Consume one inference result: record the decode, estimate widths.
+    def _record_decode(self, s: _ActiveRequest, parsed: ParsedParams, text: str) -> bool:
+        """Consume one inference result; ``True`` when it parsed completely.
 
-        Returns the width vector to verify, or ``None`` when this iteration
-        produced nothing verifiable (the request was nudged for the next
-        round and finished if its budget ran out).
+        An unparseable decode is traced and the request nudged for the
+        next round (and finished if its budget ran out).
         """
         s.iteration += 1
         s.decoded_texts.append(text)
-        requested = s.current
-
         if not parsed.complete:
-            s.trace.append(IterationTrace(requested, text, False, None, None, False))
-            # Unparseable output: nudge the request and retry inference.
-            s.current = requested.scaled(_NUDGE)
-            self._finish_if_exhausted(s)
-            return None
+            self._retry(s, parsed=False)
+        return parsed.complete
 
-        widths = self.widths_from_params(s.topology, parsed.values)
-        if widths is None:
-            s.trace.append(IterationTrace(requested, text, True, None, None, False))
-            s.current = requested.scaled(_NUDGE)
-            self._finish_if_exhausted(s)
-            return None
-        return widths
+    def _retry(
+        self, s: _ActiveRequest, parsed: bool, widths: dict[str, float] | None = None
+    ) -> None:
+        """Trace an iteration that produced nothing verifiable, then nudge."""
+        requested = s.current
+        s.trace.append(IterationTrace(requested, s.decoded_texts[-1], parsed, widths, None, False))
+        s.current = requested.scaled(_NUDGE)
+        self._finish_if_exhausted(s)
 
     def _stage_iv(
         self, s: _ActiveRequest, widths: dict[str, float], outcome: MeasureOutcome
@@ -358,9 +400,7 @@ class SizingEngine:
             # simulation, matching the scalar path's convention that a
             # failed measure() costs nothing regardless of partial work.
             # Nudge and retry.
-            s.trace.append(IterationTrace(requested, text, True, widths, None, False))
-            s.current = requested.scaled(_NUDGE)
-            return self._finish_if_exhausted(s)
+            return self._retry(s, parsed=True, widths=widths)
 
         s.spice_count += 1
         self.stats.add(spice_simulations=1)
@@ -411,9 +451,7 @@ class SizingEngine:
         if not sweep.ok:
             # At least one corner failed to converge: like the nominal
             # path's non-converging design -- nudge and retry inference.
-            s.trace.append(IterationTrace(requested, text, True, widths, None, False))
-            s.current = requested.scaled(_NUDGE)
-            return self._finish_if_exhausted(s)
+            return self._retry(s, parsed=True, widths=widths)
 
         worst_name, worst_metrics = sweep.worst_corner(s.original)
         corner_metrics = sweep.metrics_by_corner()

@@ -4,11 +4,56 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from repro.devices import EKVModel, NMOS_65NM, PMOS_65NM
-from repro.lut import DeviceParams, LookupTable, build_lut, estimate_width
+from repro.lut import (
+    DeviceParams,
+    LookupTable,
+    build_lut,
+    estimate_width,
+    estimate_widths,
+)
 
 L = 180e-9
+
+#: Agreement of the vectorised bisection with the brentq oracle.
+VGS_TOL = 1e-6
+WIDTH_RTOL = 1e-5
+
+
+def brentq_find_vgs(lut, target, vds):
+    """Oracle gm/Id inversion: the scalar brentq solve the LUT used before
+    its inversion was vectorised (same clamping, ``xtol=1e-7``)."""
+    vgs_lo = float(lut.vgs_grid[1])
+    vgs_hi = float(lut.vgs_grid[-1])
+    low, high = lut.gm_id_range(vds)
+    if target >= high:
+        return vgs_lo
+    if target <= low:
+        return vgs_hi
+    return float(
+        brentq(lambda vgs: float(lut.gm_over_id(vgs, vds)) - target, vgs_lo, vgs_hi, xtol=1e-7)
+    )
+
+
+class BrentqLookupTable(LookupTable):
+    """A LUT whose batched inversion loops the brentq oracle row by row."""
+
+    def find_vgs_for_gm_id_many(self, targets, vds):
+        vds = np.broadcast_to(vds, np.shape(targets))
+        return np.array([brentq_find_vgs(self, t, v) for t, v in zip(targets, vds, strict=True)])
+
+
+def brentq_twin(lut):
+    return BrentqLookupTable.from_arrays(
+        lut.tech.name,
+        length=lut.length,
+        reference_width=lut.reference_width,
+        vgs_grid=lut.vgs_grid,
+        vds_grid=lut.vds_grid,
+        tables=lut.tables,
+    )
 
 
 class TestLookupTable:
@@ -164,3 +209,111 @@ class TestWidthEstimator:
         )
         estimate = estimate_width(noisy, nmos_lut)
         assert estimate.width == pytest.approx(10e-6, rel=0.35)
+
+
+def device_rows(count, seed=7):
+    """Noisy (gm, gds, cds, cgs, id) rows from NMOS *and* PMOS devices."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for index in range(count):
+        tech = NMOS_65NM if index % 2 == 0 else PMOS_65NM
+        values = EKVModel(tech).evaluate_all(
+            rng.uniform(0.3, 0.9), rng.uniform(0.15, 1.05), rng.uniform(0.7e-6, 50e-6), L
+        )
+        noise = rng.lognormal(0.0, 0.1, 5)
+        names = ("gm", "gds", "cds", "cgs", "id")
+        rows.append([float(values[n]) * f for n, f in zip(names, noise, strict=True)])
+    return np.array(rows)
+
+
+def assert_rows_identical(batch, index, single):
+    for field in ("width", "vgs", "vds", "cost", "iterations", "converged", "valid"):
+        assert np.array_equal(
+            getattr(batch, field)[index], getattr(single, field)[0], equal_nan=True
+        )
+    assert np.array_equal(batch.candidates[index], single.candidates[0], equal_nan=True)
+    assert np.array_equal(batch.spread()[index], single.spread()[0])
+
+
+class TestBatchedKernel:
+    """``estimate_widths`` runs every row on its own: batching changes
+    throughput, never a row's result."""
+
+    def _rows(self, lut):
+        rows = device_rows(12)
+        low, high = lut.gm_id_range(0.6)
+        # gm/Id targets clamped high (tiny Id) and low (huge Id).
+        rows[0, 4] = rows[0, 0] / (high * 3)
+        rows[1, 4] = rows[1, 0] / (low / 3)
+        return rows
+
+    @pytest.mark.parametrize("update", ["jump", "paper"])
+    @pytest.mark.parametrize("lut_name", ["nmos_lut", "pmos_lut"])
+    def test_batch_of_n_equals_n_batches_of_one(self, request, lut_name, update):
+        lut = request.getfixturevalue(lut_name)
+        rows = self._rows(lut)
+        vdd = np.where(np.arange(len(rows)) % 3 == 0, 1.2, 1.0)
+        kwargs = {"update": update, "max_iterations": 4 if update == "paper" else 50}
+        batch = estimate_widths(lut, *rows.T, vdd=vdd, **kwargs)
+        # The cover this test claims: clamped Vgs at both grid ends and,
+        # under the paper rule's 4-step cap, rows that do not converge.
+        assert batch.vgs[0] == pytest.approx(lut.vgs_grid[1])
+        assert batch.vgs[1] == pytest.approx(lut.vgs_grid[-1])
+        if update == "paper":
+            assert not batch.converged.all()
+        for index, row in enumerate(rows):
+            single = estimate_widths(lut, *row, vdd=vdd[index], **kwargs)
+            assert_rows_identical(batch, index, single)
+            scalar = estimate_width(DeviceParams(*row), lut, vdd=float(vdd[index]), **kwargs)
+            assert scalar == batch.row(index)
+            assert scalar.spread() == batch.spread()[index]
+
+    def test_invalid_rows_are_masked_not_raised(self, nmos_lut):
+        rows = device_rows(5)
+        rows[1, 0] = 0.0
+        rows[2, 3] = -1e-15
+        rows[3, 4] = np.nan
+        batch = estimate_widths(nmos_lut, *rows.T)
+        assert batch.valid.tolist() == [True, False, False, False, True]
+        assert np.isinf(batch.spread()[1:4]).all()
+        assert np.isnan(batch.width[1:4]).all()
+        assert batch.iterations[1:4].tolist() == [0, 0, 0]
+        for index in (0, 4):
+            assert_rows_identical(batch, index, estimate_widths(nmos_lut, *rows[index]))
+
+    def test_zero_iteration_budget_rejected(self, nmos_lut):
+        with pytest.raises(ValueError):
+            estimate_widths(nmos_lut, *device_rows(1).T, max_iterations=0)
+
+    def test_empty_batch(self, nmos_lut):
+        batch = estimate_widths(nmos_lut, [], [], [], [], [])
+        assert len(batch) == 0
+
+
+class TestBrentqOracle:
+    """The fixed-step bisection agrees with the brentq inversion it
+    replaced to within the pinned tolerances."""
+
+    @pytest.mark.parametrize("lut_name", ["nmos_lut", "pmos_lut"])
+    def test_vgs_matches_brentq(self, request, lut_name):
+        lut = request.getfixturevalue(lut_name)
+        rng = np.random.default_rng(2)
+        vds = rng.uniform(0.1, 1.1, 200)
+        low, high = lut.gm_id_range(0.6)
+        targets = rng.uniform(low * 0.8, high * 1.2, 200)
+        vgs = lut.find_vgs_for_gm_id_many(targets, vds)
+        oracle = np.array([brentq_find_vgs(lut, t, v) for t, v in zip(targets, vds, strict=True)])
+        assert np.max(np.abs(vgs - oracle)) <= VGS_TOL
+
+    @pytest.mark.parametrize("update", ["jump", "paper"])
+    @pytest.mark.parametrize("lut_name", ["nmos_lut", "pmos_lut"])
+    def test_widths_match_brentq(self, request, lut_name, update):
+        lut = request.getfixturevalue(lut_name)
+        rows = device_rows(40, seed=11)
+        max_iterations = 300 if update == "paper" else 50
+        got = estimate_widths(lut, *rows.T, update=update, max_iterations=max_iterations)
+        oracle = estimate_widths(
+            brentq_twin(lut), *rows.T, update=update, max_iterations=max_iterations
+        )
+        assert np.max(np.abs(got.vgs - oracle.vgs)) <= VGS_TOL
+        assert np.max(np.abs(got.width - oracle.width) / oracle.width) <= WIDTH_RTOL

@@ -609,6 +609,21 @@ def mixed_oracle_setup():
     return topologies, records_by_name, luts
 
 
+def _near_record_requests(records, **kwargs):
+    """Achievable 5T-OTA requests just below each record's metrics."""
+    return [
+        SizingRequest.for_spec(
+            "5T-OTA",
+            r.gain_db * 0.995,
+            r.f3db_hz * 0.98,
+            r.ugf_hz * 0.98,
+            id=f"p-{i}",
+            **kwargs,
+        )
+        for i, r in enumerate(records)
+    ]
+
+
 class TestBatchedStageIVParity:
     """The tentpole contract: routing Stage IV through ``measure_many``
     changes throughput, never results."""
@@ -624,17 +639,7 @@ class TestBatchedStageIVParity:
         return engines
 
     def _requests(self, records, **kwargs):
-        return [
-            SizingRequest.for_spec(
-                "5T-OTA",
-                r.gain_db * 0.995,
-                r.f3db_hz * 0.98,
-                r.ugf_hz * 0.98,
-                id=f"p-{i}",
-                **kwargs,
-            )
-            for i, r in enumerate(records)
-        ]
+        return _near_record_requests(records, **kwargs)
 
     def test_round_batched_verification_matches_sequential(self, oracle_setup):
         _, records, _ = oracle_setup
@@ -734,6 +739,90 @@ class TestBatchedStageIVParity:
         # surviving candidates (the oracle's decodes all survive Stage III).
         assert counting.calls[:2] == [("5T-OTA", 3), ("CM-OTA", 3)]
         assert {name for name, _ in counting.calls} <= {"5T-OTA", "CM-OTA"}
+
+
+class _ZeroGmBelowGain(BatchedOracleModel):
+    """Predicts ``gm = 0`` on M1 for every spec below ``gain_db``."""
+
+    def __init__(self, topology, records, luts, gain_db):
+        super().__init__(topology, records, luts)
+        self._gain_db = gain_db
+
+    def predict_params(self, topology_name, spec, max_len=None):
+        parsed, text = super().predict_params(topology_name, spec, max_len)
+        if spec.gain_db < self._gain_db:
+            parsed.values["M1"]["gm"] = 0.0
+        return parsed, text
+
+
+class TestRoundBatchedStageIII:
+    """Stage III runs once per (round, LUT) over every parsed request."""
+
+    def test_one_width_estimation_per_lut_per_round(self, oracle_setup, monkeypatch):
+        from repro.service import engine as engine_module
+
+        topology, records, luts = oracle_setup
+        calls = []
+        original = engine_module.estimate_widths
+
+        def counting(lut, *columns, **kwargs):
+            calls.append((lut.tech.name, len(columns[0])))
+            return original(lut, *columns, **kwargs)
+
+        monkeypatch.setattr(engine_module, "estimate_widths", counting)
+        engine = SizingEngine(BatchedOracleModel(topology, records, luts), cache_size=0)
+        engine.adopt_topology(topology)
+        engine.size_batch(_near_record_requests(records[:4], max_iterations=1))
+        devices = {lut: 0 for lut in luts}
+        for group in topology.groups:
+            devices[group.tech.name] += 4
+        assert sorted(calls) == sorted(devices.items())
+
+    def test_many_matches_one_at_a_time(self, mixed_oracle_setup):
+        topologies, records_by_name, luts = mixed_oracle_setup
+        model = _MixedOracleModel(topologies.values(), records_by_name, luts)
+        engine = SizingEngine(model, cache_size=0)
+        items = [
+            (topologies[name], record.device_params)
+            for name, records in records_by_name.items()
+            for record in records[:3]
+        ]
+        # One non-physical design mid-batch is rejected on its own.
+        broken = {group: dict(params) for group, params in items[1][1].items()}
+        broken[next(iter(broken))]["gds"] = float("nan")
+        items[1] = (items[1][0], broken)
+        batched = engine.widths_from_params_many(items)
+        assert batched[1] is None
+        assert batched == [engine.widths_from_params(t, values) for t, values in items]
+        # Widths keep the topology's group order.
+        for (topology, _), widths in zip(items, batched, strict=True):
+            if widths is not None:
+                assert list(widths) == [group.name for group in topology.groups]
+
+    def test_zero_gm_fails_only_its_own_request(self, oracle_setup):
+        """A decode with ``gm = 0`` is rejected like an inconsistent
+        prediction -- traced and nudged -- instead of failing the batch."""
+        topology, records, luts = oracle_setup
+        healthy, poisoned = _near_record_requests(records[:2], max_iterations=3)
+        poisoned = SizingRequest(
+            topology="5T-OTA",
+            spec=poisoned.spec.scaled({"gain_db": 0.5}),
+            id="poisoned",
+            max_iterations=3,
+        )
+        model = _ZeroGmBelowGain(topology, records, luts, gain_db=0.6 * healthy.spec.gain_db)
+        engine = SizingEngine(model, cache_size=0)
+        engine.adopt_topology(topology)
+        requests = [poisoned, healthy]
+        responses = engine.size_batch(requests)
+        assert responses[0].error is None and not responses[0].success
+        assert responses[0].iterations == 3
+        assert responses[0].spice_simulations == 0
+        assert responses[1].success
+        result = engine.size_results(requests)[0]
+        assert [(t.parsed_ok, t.widths) for t in result.trace] == [(True, None)] * 3
+        # Nudged between attempts, as after any Stage III rejection.
+        assert result.trace[1].requested_spec != result.trace[0].requested_spec
 
 
 # ----------------------------------------------------------------------
