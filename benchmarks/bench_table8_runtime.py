@@ -24,21 +24,23 @@ bit-identical between the two.
 the CI smoke of the round-batched verification path): one multi-request
 copilot round verified through the engine's batched backend (one
 ``measure_many`` per topology per round) vs the sequential per-candidate
-backend, responses pinned bit-identical.  It needs no trained model — a
+loop (one ``measure_many`` call per candidate), responses pinned
+bit-identical.  It needs no trained model — a
 measured-oracle stand-in drives the round — so it stays minutes-free.
 
 ``test_table8_corner_throughput`` benchmarks the corner-aware evaluation
 refactor (also model-free, also a CI smoke): a population evaluated at
 the tt/ss/ff PVT corners through the stacked-corner batched path (the
 population x corner block shares one DC Newton batch and one stacked AC
-factorization) vs per-corner sequential evaluation, outcomes pinned
-bit-identical per (candidate, corner) pair and >=2x asserted.
+factorization) vs one ``measure_many`` call per (candidate, corner)
+pair, outcomes pinned bit-identical per pair and >=2x asserted.
 
 ``test_table8_tran_throughput`` benchmarks the batched transient engine
 (model-free, CI smoke): a population's step responses integrated through
 ``run_tran_many`` (candidate-vectorized Newton per time step, one
-stacked linear solve per iteration) vs the per-candidate sequential
-``run_tran`` loop, waveforms pinned bit-identical and >=2x asserted.
+stacked linear solve per iteration) vs a per-candidate ``run_tran``
+loop (each a batch of one), waveforms pinned bit-identical and >=2x
+asserted.
 
 ``test_table8_solver_scaling`` is the node-count scaling mode of the
 pluggable linear-solve layer (model-free, CI smoke): a synthetic RC
@@ -55,7 +57,7 @@ import numpy as np
 
 from repro.core import DesignSpec, SizingFlow, run_sizing_study
 from repro.service import SizingEngine, SizingRequest
-from repro.solvers import BatchedBackend, EvalBackend, ScalarBackend, SearchSpace
+from repro.solvers import BatchedBackend, EvalBackend, SearchSpace
 
 from conftest import write_bench_json, write_result
 
@@ -221,6 +223,13 @@ def test_table8_batched_inference_throughput(artifact, topologies):
 # ----------------------------------------------------------------------
 # Stage IV verification throughput (round-batched vs sequential backend)
 # ----------------------------------------------------------------------
+class _PerCandidateBackend(EvalBackend):
+    """The sequential reference: one ``measure_many`` call per candidate."""
+
+    def measure_many(self, topology, widths_list):
+        return [topology.measure_many([widths])[0] for widths in widths_list]
+
+
 class _TimedBackend(EvalBackend):
     """Wraps a backend and accounts its bulk-verification wall time."""
 
@@ -298,13 +307,13 @@ def _oracle_luts():
 
 
 def test_table8_verification_throughput(topologies):
-    """Round-batched Stage IV vs the sequential verification backend:
+    """Round-batched Stage IV vs per-candidate verification:
     bit-identical responses, >=2x wall-clock on a multi-request round.
 
     The engine round is driven by a measured-oracle model (no training),
     so the timed difference isolates the verification stage: one
-    ``measure_many`` over the round's candidates vs one ``measure`` per
-    candidate through the same engine code path.
+    ``measure_many`` over the round's candidates vs one ``measure_many``
+    per candidate through the same engine code path.
     """
     topology = topologies["5T-OTA"]
     model, specs = _measured_oracle(topology, N_VERIFY_ROUND, np.random.default_rng(17))
@@ -320,18 +329,18 @@ def test_table8_verification_throughput(topologies):
         return engine.size_batch(requests), backend
 
     # Warm both paths (imports, first-touch allocations).
-    run(ScalarBackend())
+    run(_PerCandidateBackend())
     run(BatchedBackend())
 
-    scalar_s, batched_s = float("inf"), float("inf")
+    sequential_s, batched_s = float("inf"), float("inf")
     for _ in range(VERIFY_REPEATS):
-        scalar_responses, scalar_backend = run(ScalarBackend())
-        scalar_s = min(scalar_s, scalar_backend.seconds)
+        sequential_responses, sequential_backend = run(_PerCandidateBackend())
+        sequential_s = min(sequential_s, sequential_backend.seconds)
         batched_responses, batched_backend = run(BatchedBackend())
         batched_s = min(batched_s, batched_backend.seconds)
 
     # Parity: bit-identical responses, request by request.
-    for reference, response in zip(scalar_responses, batched_responses, strict=True):
+    for reference, response in zip(sequential_responses, batched_responses, strict=True):
         assert reference.request_id == response.request_id
         assert reference.success == response.success
         assert reference.widths == response.widths
@@ -345,22 +354,22 @@ def test_table8_verification_throughput(topologies):
 
     # The whole round's surviving candidates shared one bulk call.
     assert batched_backend.calls == 1
-    assert batched_backend.candidates == scalar_backend.candidates
+    assert batched_backend.candidates == sequential_backend.candidates
     assert batched_backend.candidates >= len(requests) // 2
 
     verified = batched_backend.candidates
-    speedup = scalar_s / batched_s
+    speedup = sequential_s / batched_s
     lines = [
         "Table VIII addendum -- Stage IV verification throughput (round-batched)",
         "",
         f"round: {len(requests)} copilot requests, {verified} verifiable candidates, "
         f"best of {VERIFY_REPEATS} runs",
-        f"sequential per-candidate backend: {scalar_s:8.3f} s "
-        f"({verified / scalar_s:7.1f} verifications/s)",
+        f"per-candidate measure_many loop:  {sequential_s:8.3f} s "
+        f"({verified / sequential_s:7.1f} verifications/s)",
         f"round-batched measure_many path: {batched_s:8.3f} s "
         f"({verified / batched_s:7.1f} verifications/s)",
         f"verification-stage speedup: {speedup:.1f}x",
-        "responses: bit-identical to the sequential backend",
+        "responses: bit-identical to the per-candidate loop",
     ]
     write_result("table8_verification_throughput", lines)
     write_bench_json(
@@ -368,7 +377,7 @@ def test_table8_verification_throughput(topologies):
         {
             "requests": len(requests),
             "verified_candidates": verified,
-            "sequential_s": round(scalar_s, 4),
+            "sequential_s": round(sequential_s, 4),
             "batched_s": round(batched_s, 4),
             "speedup": round(speedup, 2),
         },
@@ -388,8 +397,8 @@ def test_table8_corner_throughput(topologies):
     path evaluates the whole population x corner block through one
     ``measure_many(corners=...)`` call (the corner axis stacks into the
     same batched DC Newton and complex AC factorization as the population
-    axis), the sequential reference measures one (candidate, corner) pair
-    per SPICE run.
+    axis), the sequential reference makes one ``measure_many`` call per
+    (candidate, corner) pair.
     """
     from repro.spice import ConvergenceError
 
@@ -408,18 +417,24 @@ def test_table8_corner_throughput(topologies):
         population.append(widths)
     assert len(population) >= N_CORNER_POP // 2, "too few simulatable designs"
 
-    scalar_backend, batched_backend = ScalarBackend(), BatchedBackend()
+    batched_backend = BatchedBackend()
+
+    def per_pair(candidates):
+        return [
+            [topology.measure_many([widths], corners=(corner,))[0].outcomes[0]
+             for corner in CORNER_AXIS]
+            for widths in candidates
+        ]
+
     # Warm both paths (imports, first-touch allocations).
-    scalar_backend.measure_many(topology, population[:2], corners=CORNER_AXIS)
+    per_pair(population[:2])
     batched_backend.measure_many(topology, population[:2], corners=CORNER_AXIS)
 
-    scalar_s = batched_s = float("inf")
+    sequential_s = batched_s = float("inf")
     for _ in range(CORNER_REPEATS):
         start = time.perf_counter()
-        scalar_sweeps = scalar_backend.measure_many(
-            topology, population, corners=CORNER_AXIS
-        )
-        scalar_s = min(scalar_s, time.perf_counter() - start)
+        sequential_rows = per_pair(population)
+        sequential_s = min(sequential_s, time.perf_counter() - start)
         start = time.perf_counter()
         batched_sweeps = batched_backend.measure_many(
             topology, population, corners=CORNER_AXIS
@@ -427,9 +442,9 @@ def test_table8_corner_throughput(topologies):
         batched_s = min(batched_s, time.perf_counter() - start)
 
     # Parity: bit-identical outcomes per (candidate, corner) pair.
-    for reference, sweep in zip(scalar_sweeps, batched_sweeps, strict=True):
-        assert reference.corners == sweep.corners
-        for ref_outcome, outcome in zip(reference.outcomes, sweep.outcomes, strict=True):
+    for row, sweep in zip(sequential_rows, batched_sweeps, strict=True):
+        assert [corner.name for corner in sweep.corners] == list(CORNER_AXIS)
+        for ref_outcome, outcome in zip(row, sweep.outcomes, strict=True):
             assert ref_outcome.ok == outcome.ok
             if not ref_outcome.ok:
                 continue
@@ -444,15 +459,15 @@ def test_table8_corner_throughput(topologies):
             )
 
     pairs = len(population) * len(CORNER_AXIS)
-    speedup = scalar_s / batched_s
+    speedup = sequential_s / batched_s
     lines = [
         "Table VIII addendum -- corner-aware evaluation throughput",
         "",
         f"population: {len(population)} candidates x {len(CORNER_AXIS)} corners "
         f"({', '.join(CORNER_AXIS)}) = {pairs} evaluations, "
         f"best of {CORNER_REPEATS} runs",
-        f"per-corner sequential evaluation:  {scalar_s:8.3f} s "
-        f"({pairs / scalar_s:7.1f} evals/s)",
+        f"per-pair measure_many evaluation:  {sequential_s:8.3f} s "
+        f"({pairs / sequential_s:7.1f} evals/s)",
         f"stacked-corner batched evaluation: {batched_s:8.3f} s "
         f"({pairs / batched_s:7.1f} evals/s)",
         f"corner-evaluation speedup: {speedup:.1f}x",
@@ -465,7 +480,7 @@ def test_table8_corner_throughput(topologies):
             "candidates": len(population),
             "corners": list(CORNER_AXIS),
             "evaluations": pairs,
-            "sequential_s": round(scalar_s, 4),
+            "sequential_s": round(sequential_s, 4),
             "batched_s": round(batched_s, 4),
             "speedup": round(speedup, 2),
         },
@@ -485,7 +500,7 @@ def test_table8_tran_throughput(topologies):
     operating points are solved once up front, so the timed difference
     isolates the transient integration stage -- the candidate-vectorized
     Newton per time step with one stacked linear solve per iteration vs
-    one full scalar integration per candidate.
+    one integration per candidate.
     """
     from repro.spice import ConvergenceError, run_tran, run_tran_many, solve_dc
 

@@ -9,9 +9,9 @@ registered ``copilot`` solver.  The comparison columns are SPICE-call
 counts, runtime and success.
 
 ``test_table9_population_throughput`` is the backend's own before/after
-number: one population evaluated through the sequential scalar path vs
-the batched ``measure_many`` path (vectorized AC, amortized DC Newton),
-with a bit-identical-metrics parity assertion.  It needs no trained
+number: one population evaluated one candidate per ``measure_many`` call
+vs the whole population in one call (vectorized AC, amortized DC
+Newton), with a bit-identical-metrics parity assertion.  It needs no trained
 model, so it doubles as the CI smoke of the unified evaluation path.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from repro import solvers
 from repro.core import DesignSpec
-from repro.solvers import BatchedBackend, ScalarBackend, SearchSpace
+from repro.solvers import BatchedBackend, SearchSpace
 
 from conftest import write_result
 
@@ -91,35 +91,38 @@ def test_table9_comparison(benchmark, artifact, topologies):
 
 
 def test_table9_population_throughput(topologies):
-    """Scalar vs batched population evaluation: parity + >=2x throughput.
+    """Sequential vs batched population evaluation: parity + >=2x throughput.
 
     The claim of the evaluation-backend redesign: submitting a whole
     PSO/DE-style population to ``measure_many`` (stacked complex MNA over
     population x frequency grid, DC Newton assembly amortized across
-    candidates) is at least twice as fast as the sequential per-candidate
-    ``measure`` loop, while every metric stays bit-identical.
+    candidates) is at least twice as fast as a per-candidate
+    ``measure_many([w])`` loop, while every metric stays bit-identical.
     """
     topology = topologies["5T-OTA"]
     space = SearchSpace(topology)
     rng = np.random.default_rng(42)
     population = [space.decode(space.random_point(rng)) for _ in range(POPULATION)]
 
-    scalar, batched = ScalarBackend(), BatchedBackend()
+    batched = BatchedBackend()
+
+    def sequential():
+        return [batched.measure_many(topology, [widths])[0] for widths in population]
+
     # Warm both paths (imports, first-touch allocations).
-    scalar.measure_many(topology, population[:2])
     batched.measure_many(topology, population[:2])
 
-    scalar_s, batched_s = float("inf"), float("inf")
+    sequential_s, batched_s = float("inf"), float("inf")
     for _ in range(THROUGHPUT_REPEATS):
         start = time.perf_counter()
-        scalar_outcomes = scalar.measure_many(topology, population)
-        scalar_s = min(scalar_s, time.perf_counter() - start)
+        sequential_outcomes = sequential()
+        sequential_s = min(sequential_s, time.perf_counter() - start)
         start = time.perf_counter()
         batched_outcomes = batched.measure_many(topology, population)
         batched_s = min(batched_s, time.perf_counter() - start)
 
     # Parity: bit-identical metrics, candidate by candidate.
-    for reference, outcome in zip(scalar_outcomes, batched_outcomes, strict=True):
+    for reference, outcome in zip(sequential_outcomes, batched_outcomes, strict=True):
         assert reference.ok == outcome.ok
         if reference.ok:
             assert np.array_equal(
@@ -128,14 +131,14 @@ def test_table9_population_throughput(topologies):
                 equal_nan=True,
             )
 
-    speedup = scalar_s / batched_s
+    speedup = sequential_s / batched_s
     lines = [
         "Table IX addendum -- population evaluation throughput (solver redesign)",
         "",
         f"population: {POPULATION} candidate 5T-OTA designs, best of {THROUGHPUT_REPEATS} runs",
-        f"sequential measure() loop:   {scalar_s:8.3f} s "
-        f"({POPULATION / scalar_s:7.1f} candidates/s)",
-        f"batched measure_many() path: {batched_s:8.3f} s "
+        f"per-candidate measure_many(): {sequential_s:8.3f} s "
+        f"({POPULATION / sequential_s:7.1f} candidates/s)",
+        f"batched measure_many() path:  {batched_s:8.3f} s "
         f"({POPULATION / batched_s:7.1f} candidates/s)",
         f"population-evaluation speedup: {speedup:.1f}x",
         "metrics: bit-identical to the sequential path",

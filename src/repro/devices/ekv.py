@@ -41,7 +41,7 @@ import numpy as np
 
 from .params import TechParams
 
-__all__ = ["EKVModel", "SmallSignal", "interp_f", "interp_f_prime"]
+__all__ = ["EKVModel", "SmallSignal", "dc_currents", "interp_f", "interp_f_prime"]
 
 ArrayLike = float | np.ndarray
 
@@ -87,6 +87,34 @@ class SmallSignal:
         return np.array([self.id, self.gm, self.gds, self.cds, self.cgs])
 
 
+def dc_currents(vgs, vds, vt0, n_slope, ut, ispec, lam):
+    """``(Id, gm, gds)`` of the EKV core with ``Ispec`` and ``lambda`` given.
+
+    The one implementation of the model's DC physics: normalized
+    forward/reverse currents ``i_f``/``i_r`` and their derivatives share
+    one ``logaddexp`` per term, and the channel-length-modulation factor
+    ``clm = 1 + lambda Ut softplus(Vds/Ut)`` with its ``d/dVds`` shares
+    one softplus.  Every argument broadcasts, so the same call evaluates
+    one bias point, a LUT grid, or a ``(candidates, devices)`` stamp
+    array whose technology parameters vary along the device axis.
+    """
+    vds = np.asarray(vds, dtype=float)
+    vp = (np.asarray(vgs, dtype=float) - vt0) / n_slope
+    half_f = vp / ut / 2.0
+    half_r = (vp - vds) / ut / 2.0
+    log_f = np.logaddexp(0.0, half_f)
+    log_r = np.logaddexp(0.0, half_r)
+    dir_ = log_r * np.exp(half_r - log_r)
+    v = vds / ut
+    softplus = np.logaddexp(0.0, v)
+    clm = 1.0 + lam * ut * softplus
+    channel = ispec * (log_f * log_f - log_r * log_r)
+    ids = channel * clm
+    gm = ispec * (log_f * np.exp(half_f - log_f) - dir_) * clm / (n_slope * ut)
+    gds = ispec * dir_ * clm / ut + channel * (lam * np.exp(v - softplus))
+    return ids, gm, gds
+
+
 class EKVModel:
     """Evaluator for the EKV-style model over a :class:`TechParams` set."""
 
@@ -109,34 +137,32 @@ class EKVModel:
         i_r = interp_f((vp - np.asarray(vds, dtype=float)) / tech.ut)
         return i_f, i_r
 
-    def _clm(self, length: float) -> float:
-        """Effective channel-length-modulation coefficient (1/V)."""
-        return self.tech.lambda_l / length
+    def ids_gm_gds(
+        self, vgs: ArrayLike, vds: ArrayLike, width: float, length: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Drain current ``Id`` (A), ``gm = dId/dVgs`` and ``gds = dId/dVds`` (S).
 
-    def _clm_factor(
-        self, vds: ArrayLike, length: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """CLM factor ``1 + lambda*Ut*softplus(Vds/Ut)`` and its d/dVds."""
-        ut = self.tech.ut
-        lam = self._clm(length)
-        v = np.asarray(vds, dtype=float) / ut
-        softplus = np.logaddexp(0.0, v)
-        sigmoid = np.exp(v - np.logaddexp(0.0, v))
-        return 1.0 + lam * ut * softplus, lam * sigmoid
+        ``Id`` is positive for ``vds > 0`` in normal operation; the EKV
+        formulation is source/drain symmetric, so negative ``vds`` yields a
+        negative current (reverse conduction), which keeps Newton
+        iterations well behaved.
+        """
+        tech = self.tech
+        return dc_currents(
+            vgs,
+            vds,
+            tech.vt0,
+            tech.n_slope,
+            tech.ut,
+            tech.spec_current(width, length),
+            tech.lambda_l / length,
+        )
 
     def drain_current(
         self, vgs: ArrayLike, vds: ArrayLike, width: float, length: float
     ) -> np.ndarray:
-        """Drain current ``Id`` (A) in polarity-normalized orientation.
-
-        Positive for ``vds > 0`` in normal operation; the EKV formulation is
-        source/drain symmetric, so negative ``vds`` yields a negative current
-        (reverse conduction), which keeps Newton iterations well behaved.
-        """
-        i_f, i_r = self._normalized_currents(vgs, vds)
-        ispec = self.tech.spec_current(width, length)
-        clm, _ = self._clm_factor(vds, length)
-        return ispec * (i_f - i_r) * clm
+        """Drain current ``Id`` (A); see :meth:`ids_gm_gds`."""
+        return self.ids_gm_gds(vgs, vds, width, length)[0]
 
     def inversion_coefficient(
         self, vgs: ArrayLike, vds: ArrayLike
@@ -158,29 +184,13 @@ class EKVModel:
         self, vgs: ArrayLike, vds: ArrayLike, width: float, length: float
     ) -> np.ndarray:
         """Gate transconductance ``gm = dId/dVgs`` (S)."""
-        tech = self.tech
-        vp = (np.asarray(vgs, dtype=float) - tech.vt0) / tech.n_slope
-        vds_arr = np.asarray(vds, dtype=float)
-        dif = interp_f_prime(vp / tech.ut)
-        dir_ = interp_f_prime((vp - vds_arr) / tech.ut)
-        ispec = tech.spec_current(width, length)
-        clm, _ = self._clm_factor(vds_arr, length)
-        return ispec * (dif - dir_) * clm / (tech.n_slope * tech.ut)
+        return self.ids_gm_gds(vgs, vds, width, length)[1]
 
     def output_conductance(
         self, vgs: ArrayLike, vds: ArrayLike, width: float, length: float
     ) -> np.ndarray:
         """Output conductance ``gds = dId/dVds`` (S)."""
-        tech = self.tech
-        vp = (np.asarray(vgs, dtype=float) - tech.vt0) / tech.n_slope
-        vds_arr = np.asarray(vds, dtype=float)
-        i_f, i_r = self._normalized_currents(vgs, vds)
-        dir_ = interp_f_prime((vp - vds_arr) / tech.ut)
-        ispec = tech.spec_current(width, length)
-        clm, dclm = self._clm_factor(vds_arr, length)
-        channel_term = ispec * dir_ * clm / tech.ut
-        clm_term = ispec * (i_f - i_r) * dclm
-        return channel_term + clm_term
+        return self.ids_gm_gds(vgs, vds, width, length)[2]
 
     # ------------------------------------------------------------------
     # Capacitances
@@ -213,11 +223,11 @@ class EKVModel:
         is clamped at ``Vds = -pb/2`` so Newton excursions stay finite.
         """
         tech = self.tech
-        vds_arr = np.asarray(vds, dtype=float)
-        bias = np.maximum(1.0 + vds_arr / tech.pb, 0.5)
-        ignored = np.asarray(vgs, dtype=float)  # Cds is Vgs independent here.
-        del ignored
-        return tech.cj * width / bias**tech.mj
+        return tech.cj * width / self.junction_bias(vds) ** tech.mj
+
+    def junction_bias(self, vds: ArrayLike) -> np.ndarray:
+        """``1 + Vds/pb`` clamped at 0.5, the base of the ``Cds`` grading law."""
+        return np.maximum(1.0 + np.asarray(vds, dtype=float) / self.tech.pb, 0.5)
 
     # ------------------------------------------------------------------
     # Bundles
@@ -233,10 +243,11 @@ class EKVModel:
         ``Vds`` and the ``Cgs`` inversion term only on ``Vgs``; the
         broadcast hides that asymmetry from table-building callers.)
         """
+        ids, gm, gds = self.ids_gm_gds(vgs, vds, width, length)
         values = {
-            "id": self.drain_current(vgs, vds, width, length),
-            "gm": self.transconductance(vgs, vds, width, length),
-            "gds": self.output_conductance(vgs, vds, width, length),
+            "id": ids,
+            "gm": gm,
+            "gds": gds,
             "cds": self.drain_source_capacitance(vgs, vds, width, length),
             "cgs": self.gate_source_capacitance(vgs, vds, width, length),
         }

@@ -397,8 +397,8 @@ class SizingEngine:
             # Non-converging design (the backend's per-candidate stand-in
             # for ConvergenceError, from any analysis leg -- DC Newton or
             # transient integration): counts as no completed verification
-            # simulation, matching the scalar path's convention that a
-            # failed measure() costs nothing regardless of partial work.
+            # simulation, matching measure()'s convention that a failed
+            # measurement costs nothing regardless of partial work.
             # Nudge and retry.
             return self._retry(s, parsed=True, widths=widths)
 

@@ -1,28 +1,22 @@
 """Evaluation backends: how solvers talk to the SPICE substrate.
 
 Every sizing method -- stochastic optimizer or transformer copilot --
-ultimately asks the same question: *measure this candidate design*.  The
-backend abstraction decouples solvers from how that measurement is
-executed:
+ultimately asks the same question: *measure these candidate designs*.
+The :class:`EvalBackend` abstraction decouples solvers from how that
+measurement is executed.  :class:`BatchedBackend`, the default, routes
+whole populations through ``topology.measure_many``: the DC Newton
+solves share one vectorized assembly, the AC solves one stacked complex
+MNA factorization over population x frequency grid, and with
+``corners=`` the corner axis stacks into the same batched solves, so a
+population x corner block costs one DC Newton batch and one stacked AC
+factorization per circuit structure.
 
-* :class:`ScalarBackend` calls ``topology.measure`` once per candidate
-  (and, on the corner axis, once per candidate-corner pair) -- the
-  reference semantics (and the pre-redesign behavior of the Table IX
-  baselines);
-* :class:`BatchedBackend` routes whole populations through
-  ``topology.measure_many``, which vectorizes the per-candidate AC solves
-  (stacked complex MNA over population x frequency grid) and amortizes
-  the DC Newton assembly across candidates; with ``corners=`` the corner
-  axis stacks into the same batched solves, so a population x corner
-  block costs one DC Newton batch and one stacked AC factorization per
-  circuit structure.
-
-Both produce the same result shapes -- ``list[MeasureOutcome]`` for flat
-calls, ``list[CornerSweep]`` when a ``corners=`` axis is requested --
-with bit-identical metrics and per-(candidate, corner) failure
-isolation, so solvers can switch backends without changing results
-(``bench_table9`` pins the flat parity and throughput gap;
-``bench_table8``'s corner mode pins the corner-axis counterpart).
+Results are ``list[MeasureOutcome]`` for flat calls and
+``list[CornerSweep]`` when a ``corners=`` axis is requested, with
+per-(candidate, corner) failure isolation.  Custom backends (counting,
+fault-injecting, remote) implement :meth:`EvalBackend.measure_many`;
+the test suite's sequential oracle backend is one, and the parity tests
+pin the batched backend to it bit for bit.
 """
 
 from __future__ import annotations
@@ -30,11 +24,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 
-from ..devices import Corner, CornerLike, resolve_corners
-from ..spice import ConvergenceError
-from ..topologies import CornerSweep, MeasureOutcome, OTATopology
+from ..devices import CornerLike
+from ..topologies import MeasureOutcome, OTATopology
 
-__all__ = ["EvalBackend", "ScalarBackend", "BatchedBackend"]
+__all__ = ["EvalBackend", "BatchedBackend"]
 
 
 class EvalBackend(ABC):
@@ -77,56 +70,6 @@ class EvalBackend(ABC):
             return self.measure_many(topology, [widths], **kwargs)[0]
         sweep = self.measure_many(topology, [widths], corners=(corner,), **kwargs)[0]
         return sweep.outcomes[0]
-
-
-class ScalarBackend(EvalBackend):
-    """Sequential reference backend: one full SPICE run per candidate
-    (per candidate-corner pair on the corner axis)."""
-
-    def measure_many(
-        self,
-        topology: OTATopology,
-        widths_list: Sequence[Mapping[str, float]],
-        corners: Sequence[CornerLike] | None = None,
-        analyses: Sequence[str] | None = None,
-    ) -> list:
-        if corners is not None:
-            resolved = resolve_corners(corners)
-            if not resolved:
-                # Same contract as the batched path (which inherits the
-                # check from topology.measure_many): an empty corner axis
-                # would yield vacuous all-pass sweeps.
-                raise ValueError("corners must be non-empty (use corners=None for nominal)")
-            return [
-                self._sweep_one(topology, widths, resolved, analyses)
-                for widths in widths_list
-            ]
-        outcomes: list[MeasureOutcome] = []
-        for widths in widths_list:
-            outcome = MeasureOutcome(widths=dict(widths))
-            try:
-                outcome.result = topology.measure(widths, analyses=analyses)
-            except (ConvergenceError, KeyError, ValueError) as error:
-                outcome.error = str(error)
-            outcomes.append(outcome)
-        return outcomes
-
-    @staticmethod
-    def _sweep_one(
-        topology: OTATopology,
-        widths: Mapping[str, float],
-        corners: tuple[Corner, ...],
-        analyses: Sequence[str] | None = None,
-    ) -> CornerSweep:
-        outcomes = []
-        for corner in corners:
-            outcome = MeasureOutcome(widths=dict(widths))
-            try:
-                outcome.result = topology.measure(widths, corner=corner, analyses=analyses)
-            except (ConvergenceError, KeyError, ValueError) as error:
-                outcome.error = str(error)
-            outcomes.append(outcome)
-        return CornerSweep(widths=dict(widths), corners=corners, outcomes=tuple(outcomes))
 
 
 class BatchedBackend(EvalBackend):

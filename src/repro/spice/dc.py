@@ -18,16 +18,27 @@ robustness comes from three stacked strategies, tried in order:
 3. source stepping (supplies ramped from 0 to full value).
 
 These are the same continuation tricks production SPICE engines use.
+
+There is one kernel: :func:`solve_dc_many` groups circuits by MNA
+structure and solves each group together, with the residual/Jacobian
+assembly vectorized over a ``(candidates, devices)`` axis and each
+continuation strategy run as one batched pass over the candidates every
+earlier strategy left unconverged.  :func:`solve_dc` is a batch of one.
+The transient engine (:mod:`repro.spice.tran`) reuses the same assembly
+and Newton loop with capacitor companion stamps added.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
-from ..devices import EKVModel, OperatingPoint
+from ..devices import EKVModel, OperatingPoint, SmallSignal
+from ..devices.ekv import dc_currents
 from . import linsolve
 from .netlist import GROUND, Circuit
 
@@ -67,22 +78,114 @@ class DCSolution:
 
     def kcl_residual(self) -> float:
         """Max KCL residual (A) over all nodes -- a correctness self-check."""
-        system = _MNASystem(self.circuit)
-        x = system.pack(self.node_voltages, self.source_currents)
-        residual, _ = system.residual_and_jacobian(x, source_scale=1.0, gmin=GMIN)
-        return float(np.max(np.abs(residual[: system.n_nodes]))) if system.n_nodes else 0.0
+        system = _system(_structure_key(self.circuit))
+        x = system.pack(self.node_voltages, self.source_currents)[None, :]
+        residual, _ = _residual_and_jacobian_batch(
+            system, _BatchStamps([self.circuit]), x, 1.0, GMIN
+        )
+        n = system.n_nodes
+        return float(np.max(np.abs(residual[0, :n]))) if n else 0.0
+
+
+def _scatter_layers(ops: list[tuple[int, int, float]]):
+    """Order an assembly's additive contributions into scatter layers.
+
+    ``ops[i] = (target, column, sign)`` is the i-th stamp operation of the
+    element-by-element assembly: ``target += sign * values[:, column]``.
+    Floating-point sums depend on order, so the contributions are grouped
+    into layers whose targets are distinct: layer ``k`` holds every
+    target's ``k``-th contribution.  Applying the layers in turn with one
+    fancy-indexed ``+=`` each reproduces every entry's sequential sum bit
+    for bit.  Returns ``(targets, columns, signs, bounds)`` in layer
+    order, or ``None`` when there is nothing to stamp.
+    """
+    if not ops:
+        return None
+    seen: Counter = Counter()
+    layer = []
+    for target, _, _ in ops:
+        layer.append(seen[target])
+        seen[target] += 1
+    order = np.argsort(layer, kind="stable")
+    edges = np.concatenate(([0], np.cumsum(np.bincount(layer)))).tolist()
+    targets, columns, signs = (np.asarray(part)[order] for part in zip(*ops, strict=True))
+    return targets, columns, signs, list(zip(edges[:-1], edges[1:], strict=True))
 
 
 class _MNASystem:
-    """Assembles residual and Jacobian of the nonlinear MNA equations."""
+    """Unknown-vector layout and stamp plan of one MNA structure.
 
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        self.node_names = circuit.nodes()
-        self.n_nodes = len(self.node_names)
-        self.n_sources = len(circuit.vsources)
-        self.size = self.n_nodes + self.n_sources
-        self._index = {name: i for i, name in enumerate(self.node_names)}
+    A pure function of the structure key (see :func:`_structure_key`), so
+    one instance serves every circuit, batch and call with that structure
+    (:func:`_system` caches them).  Unknowns are the node voltages
+    followed by one branch current per voltage source; index ``size``
+    addresses a zero column appended for ground, so every element's
+    terminal voltages are one gather.  ``capacitors`` (node pairs) turns
+    on the transient companion stamps: the capacitors, then each MOSFET's
+    gate-source and drain-source capacitance.
+    """
+
+    def __init__(self, key: tuple, capacitors: tuple | None = None):
+        nodes, resistors, isources, vsources, mosfets = key
+        self.node_names = list(nodes)
+        n = self.n_nodes = len(nodes)
+        self.vsource_names = [name for name, _, _ in vsources]
+        self.n_sources = len(vsources)
+        size = self.size = n + self.n_sources
+        self._index = {name: i for i, name in enumerate(nodes)}
+
+        def at(node: str) -> int:
+            return size if node == GROUND else self._index[node]
+
+        drains = [at(d) for _, d, _, _, _, _ in mosfets]
+        gates = [at(g) for _, _, g, _, _, _ in mosfets]
+        sources = [at(s) for _, _, _, s, _, _ in mosfets]
+        self.terminals = np.asarray(drains + gates + sources, dtype=np.intp)
+        self.polarity = np.array([float(m[4]) for m in mosfets])
+        self.lengths = np.array([m[5] for m in mosfets])
+        resistor_pairs = [(at(a), at(b)) for a, b, _ in resistors]
+        self.resistor_nodes = np.asarray(resistor_pairs, dtype=np.intp).reshape(-1, 2).T
+        self.conductance = np.array([1.0 / r for _, _, r in resistors])
+        self.isource_dc = np.array([dc for _, _, dc in isources])
+        vsource_pairs = [(at(pos), at(neg)) for _, pos, neg in vsources]
+        self.vsource_nodes = np.asarray(vsource_pairs, dtype=np.intp).reshape(-1, 2).T
+        caps: list[tuple[int, int]] = []
+        if capacitors is not None:
+            caps = [(at(a), at(b)) for a, b in capacitors]
+            for d, g, s in zip(drains, gates, sources, strict=True):
+                caps += [(g, s), (d, s)]
+        self.cap_nodes = np.asarray(caps, dtype=np.intp).reshape(-1, 2).T
+        self.n_caps = len(caps)
+
+        # Residual: additive node contributions in assembly order, reading
+        # value columns [resistor currents | isources | MOSFET currents |
+        # branch currents | capacitor currents].
+        f_ops: list[tuple[int, int, float]] = []
+        column = 0
+        isource_pairs = [(at(pos), at(neg)) for pos, neg, _ in isources]
+        for pairs in (resistor_pairs, isource_pairs, list(zip(drains, sources, strict=True)),
+                      vsource_pairs, caps):
+            for plus, minus in pairs:
+                f_ops += [(plus, column, 1.0), (minus, column, -1.0)]
+                column += 1
+        # Jacobian: value columns [gds | gm | gm + gds | companion g].
+        k = len(mosfets)
+        j_ops: list[tuple[int, int, int, float]] = []
+        for i, (d, g, s) in enumerate(zip(drains, gates, sources, strict=True)):
+            j_ops += [
+                (d, d, i, 1.0), (d, g, k + i, 1.0), (d, s, 2 * k + i, -1.0),
+                (s, s, 2 * k + i, 1.0), (s, d, i, -1.0), (s, g, k + i, -1.0),
+            ]
+        for e, (c1, c2) in enumerate(caps):
+            col = 3 * k + e
+            j_ops += [(c1, c1, col, 1.0), (c1, c2, col, -1.0), (c2, c2, col, 1.0), (c2, c1, col, -1.0)]
+        # Stamps on ground rows or columns vanish.
+        j_ops = [op for op in j_ops if op[0] != size and op[1] != size]
+        self.f_plan = _scatter_layers([op for op in f_ops if op[0] != size])
+        self.j_plan = _scatter_layers([(r * size + c, col, sign) for r, c, col, sign in j_ops])
+        self._j_coords = [(r, c) for r, c, _, _ in j_ops]
+        self._base: dict[float, np.ndarray] = {}
+        self._pattern: linsolve.StructurePattern | None = None
 
     # ------------------------------------------------------------------
     def node_index(self, name: str) -> int | None:
@@ -91,173 +194,67 @@ class _MNASystem:
             return None
         return self._index[name]
 
-    def pack(
-        self, voltages: dict[str, float], currents: dict[str, float]
-    ) -> np.ndarray:
+    def pack(self, voltages: Mapping[str, float], currents: Mapping[str, float]) -> np.ndarray:
         x = np.zeros(self.size)
         for name, idx in self._index.items():
             x[idx] = voltages.get(name, 0.0)
-        for k, source in enumerate(self.circuit.vsources):
-            x[self.n_nodes + k] = currents.get(source.name, 0.0)
+        for k, name in enumerate(self.vsource_names):
+            x[self.n_nodes + k] = currents.get(name, 0.0)
         return x
 
     def unpack(self, x: np.ndarray) -> tuple[dict[str, float], dict[str, float]]:
-        voltages = {name: float(x[idx]) for name, idx in self._index.items()}
-        currents = {
-            source.name: float(x[self.n_nodes + k])
-            for k, source in enumerate(self.circuit.vsources)
-        }
+        values = x.tolist()
+        voltages = dict(zip(self.node_names, values[: self.n_nodes], strict=True))
+        currents = dict(zip(self.vsource_names, values[self.n_nodes :], strict=True))
         return voltages, currents
 
     # ------------------------------------------------------------------
-    def residual_and_jacobian(
-        self, x: np.ndarray, source_scale: float, gmin: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate ``f(x)`` and ``J(x)`` at the given point.
-
-        ``source_scale`` multiplies every independent source value (used by
-        the source-stepping continuation).  ``gmin`` is the shunt
-        conductance to ground at each node.
-        """
-        circuit = self.circuit
-        n = self.n_nodes
-        f = np.zeros(self.size)
-        jac = np.zeros((self.size, self.size))
-
-        def volt(idx: int | None) -> float:
-            return 0.0 if idx is None else float(x[idx])
-
-        # gmin shunts keep floating subcircuits well-conditioned.  Sliced
-        # elementwise ops are bit-identical to the former per-node loop.
-        if n:
-            f[:n] += gmin * x[:n]
-            diag = np.arange(n)
-            jac[diag, diag] += gmin
-
-        for res in circuit.resistors:
-            i1, i2 = self.node_index(res.node1), self.node_index(res.node2)
-            g = res.conductance
-            current = g * (volt(i1) - volt(i2))
-            if i1 is not None:
-                f[i1] += current
-                jac[i1, i1] += g
-                if i2 is not None:
-                    jac[i1, i2] -= g
-            if i2 is not None:
-                f[i2] -= current
-                jac[i2, i2] += g
-                if i1 is not None:
-                    jac[i2, i1] -= g
-
-        for src in circuit.isources:
-            ip, in_ = self.node_index(src.pos), self.node_index(src.neg)
-            value = src.dc * source_scale
-            if ip is not None:
-                f[ip] += value
-            if in_ is not None:
-                f[in_] -= value
-
-        for mosfet in circuit.mosfets:
-            id_, ig, is_ = (
-                self.node_index(mosfet.drain),
-                self.node_index(mosfet.gate),
-                self.node_index(mosfet.source),
-            )
-            vd, vg, vs = volt(id_), volt(ig), volt(is_)
-            ids = mosfet.ids(vd, vg, vs)
-            gm, gds = mosfet.conductances(vd, vg, vs)
-            # Current i_ds leaves the drain node and enters the source node.
-            if id_ is not None:
-                f[id_] += ids
-                jac[id_, id_] += gds
-                if ig is not None:
-                    jac[id_, ig] += gm
-                if is_ is not None:
-                    jac[id_, is_] -= gm + gds
-            if is_ is not None:
-                f[is_] -= ids
-                jac[is_, is_] += gm + gds
-                if id_ is not None:
-                    jac[is_, id_] -= gds
-                if ig is not None:
-                    jac[is_, ig] -= gm
-
-        for k, src in enumerate(circuit.vsources):
+    def _linear_stamps(self, gmin: float) -> list[tuple[int, int, float]]:
+        """``(row, col, value)`` of the Jacobian stamps that do not depend
+        on the iterate, in assembly order: gmin shunts, resistors,
+        voltage-source incidences (ground rows and columns dropped)."""
+        n, size = self.n_nodes, self.size
+        entries = [(i, i, gmin) for i in range(n)]
+        r1s, r2s = self.resistor_nodes.tolist()
+        for i1, i2, g in zip(r1s, r2s, self.conductance.tolist(), strict=True):
+            entries += [(i1, i1, g), (i1, i2, -g), (i2, i2, g), (i2, i1, -g)]
+        for k, (ip, in_) in enumerate(zip(*self.vsource_nodes.tolist(), strict=True)):
             row = n + k
-            ip, in_ = self.node_index(src.pos), self.node_index(src.neg)
-            branch_current = float(x[row])
-            # Branch current flows out of the positive node.
-            if ip is not None:
-                f[ip] += branch_current
-                jac[ip, row] += 1.0
-            if in_ is not None:
-                f[in_] -= branch_current
-                jac[in_, row] -= 1.0
-            f[row] = volt(ip) - volt(in_) - src.dc * source_scale
-            if ip is not None:
-                jac[row, ip] += 1.0
-            if in_ is not None:
-                jac[row, in_] -= 1.0
+            entries += [(ip, row, 1.0), (in_, row, -1.0), (row, ip, 1.0), (row, in_, -1.0)]
+        return [(r, c, v) for r, c, v in entries if r != size and c != size]
 
-        return f, jac
+    def base_jacobian(self, gmin: float) -> np.ndarray:
+        """Jacobian part that does not depend on the iterate (cached)."""
+        base = self._base.get(gmin)
+        if base is None:
+            base = np.zeros((self.size, self.size))
+            for r, c, value in self._linear_stamps(gmin):
+                base[r, c] += value
+            self._base[gmin] = base
+        return base
 
-
-def _newton(
-    system: _MNASystem,
-    x0: np.ndarray,
-    source_scale: float,
-    gmin: float,
-    max_iterations: int = 150,
-    abstol: float = 1e-10,
-    reltol: float = 1e-9,
-) -> tuple[np.ndarray, int]:
-    """Damped Newton iteration; returns the solution and iteration count."""
-    x = x0.copy()
-    for iteration in range(1, max_iterations + 1):
-        f, jac = system.residual_and_jacobian(x, source_scale, gmin)
-        try:
-            dx = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            dx = np.linalg.lstsq(jac, -f, rcond=None)[0]
-        # Voltage-step damping: scale the whole update so no node moves
-        # more than MAX_STEP volts in one iteration.
-        v_step = np.max(np.abs(dx[: system.n_nodes])) if system.n_nodes else 0.0
-        if v_step > MAX_STEP:
-            dx *= MAX_STEP / v_step
-        x += dx
-        node_residual = (
-            float(np.max(np.abs(f[: system.n_nodes]))) if system.n_nodes else 0.0
-        )
-        if node_residual < abstol and float(np.max(np.abs(dx), initial=0.0)) < reltol:
-            return x, iteration
-    raise ConvergenceError(
-        f"Newton failed after {max_iterations} iterations "
-        f"(source_scale={source_scale}, gmin={gmin})"
-    )
+    @property
+    def pattern(self) -> linsolve.StructurePattern:
+        """Symbolic solve pattern: every Jacobian entry any stamp touches."""
+        if self._pattern is None:
+            coords = [(r, c) for r, c, _ in self._linear_stamps(0.0)] + self._j_coords
+            rows, cols = zip(*coords) if coords else ((), ())
+            self._pattern = linsolve.factorize_structure(rows, cols, self.size)
+        return self._pattern
 
 
-def _default_guess(system: _MNASystem) -> np.ndarray:
-    """Heuristic starting point: source nodes pinned, others at mid-rail."""
-    circuit = system.circuit
-    supply = max((abs(src.dc) for src in circuit.vsources), default=1.0)
-    x = np.full(system.size, 0.0)
-    x[: system.n_nodes] = supply / 2.0
-    for src in circuit.vsources:
-        ip = system.node_index(src.pos)
-        in_ = system.node_index(src.neg)
-        if ip is not None and in_ is None:
-            x[ip] = src.dc
-        elif ip is None and in_ is not None:
-            x[in_] = -src.dc
-    return x
+@lru_cache(maxsize=256)
+def _system(key: tuple, capacitors: tuple | None = None) -> _MNASystem:
+    """The :class:`_MNASystem` of a structure, shared by every call."""
+    return _MNASystem(key, capacitors)
 
 
 def solve_dc(
     circuit: Circuit,
-    initial_guess: dict[str, float] | None = None,
+    initial_guess: Mapping[str, float] | None = None,
     max_iterations: int = 150,
 ) -> DCSolution:
-    """Solve the DC operating point of ``circuit``.
+    """Solve the DC operating point of ``circuit`` (a batch of one).
 
     Parameters
     ----------
@@ -274,91 +271,30 @@ def solve_dc(
     ConvergenceError
         If plain Newton, gmin stepping and source stepping all fail.
     """
-    system = _MNASystem(circuit)
-    x0 = _initial_point(system, initial_guess)
-    return _solve_with_continuation(system, x0, max_iterations)
-
-
-def _initial_point(
-    system: _MNASystem, initial_guess: dict[str, float] | None
-) -> np.ndarray:
-    """Starting vector: heuristic guess overridden by the caller's hints."""
-    x0 = _default_guess(system)
-    if initial_guess:
-        for name, value in initial_guess.items():
-            idx = system.node_index(name)
-            if idx is not None:
-                x0[idx] = value
-    return x0
-
-
-def _solve_with_continuation(
-    system: _MNASystem,
-    x0: np.ndarray,
-    max_iterations: int,
-    skip_plain_newton: bool = False,
-) -> DCSolution:
-    """Run the stacked continuation strategies from ``x0``.
-
-    ``skip_plain_newton`` lets the batched solver hand over candidates whose
-    plain-Newton stage already (provably, bit-identically) failed without
-    paying for a second identical failure.
-    """
-    circuit = system.circuit
-    total_iterations = 0
-
-    # Strategy 1: plain damped Newton.
-    if not skip_plain_newton:
-        try:
-            x, iters = _newton(system, x0, 1.0, GMIN, max_iterations)
-            return _finalize(system, x, iters, "newton")
-        except ConvergenceError:
-            pass
-
-    # Strategy 2: gmin stepping.
-    x = x0.copy()
-    try:
-        for exponent in range(3, 13):
-            gmin = 10.0 ** (-exponent)
-            x, iters = _newton(system, x, 1.0, gmin, max_iterations)
-            total_iterations += iters
-        return _finalize(system, x, total_iterations, "gmin-stepping")
-    except ConvergenceError:
-        pass
-
-    # Strategy 3: source stepping.
-    x = np.zeros(system.size)
-    total_iterations = 0
-    try:
-        for scale in np.linspace(0.1, 1.0, 10):
-            x, iters = _newton(system, x, float(scale), GMIN, max_iterations)
-            total_iterations += iters
-        return _finalize(system, x, total_iterations, "source-stepping")
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"DC solve failed for circuit {circuit.name!r} with all strategies"
-        ) from exc
+    (outcome,) = solve_dc_many([circuit], initial_guess=initial_guess, max_iterations=max_iterations)
+    if isinstance(outcome, ConvergenceError):
+        raise outcome
+    return outcome
 
 
 def solve_dc_many(  # checks: hot-path
     circuits: list,
-    initial_guess: dict[str, float] | Sequence[dict[str, float] | None] | None = None,
+    initial_guess: Mapping[str, float] | Sequence[Mapping[str, float] | None] | None = None,
     max_iterations: int = 150,
 ) -> list:
     """Solve the DC operating point of many structurally similar circuits.
 
-    The bulk path of the batched evaluation backend: circuits that share
-    one MNA structure (same nodes and element connectivity -- exactly what
-    one topology's ``build`` produces over a population of width vectors,
-    including the same population rebuilt at several PVT corners) run the
-    plain-Newton stage *together*, with the residual/Jacobian assembly
-    vectorized over the candidate axis and one stacked ``np.linalg.solve``
-    per iteration.  Candidates of one group may differ in MOSFET widths,
-    MOSFET technology parameters (corner-skewed ``vt0``/``kp``/``ut``) and
-    voltage-source DC values (corner-scaled supplies); every per-candidate
-    floating-point operation is elementwise-identical to the scalar path,
-    so the returned solutions are bit-identical to ``solve_dc`` run one
-    candidate at a time (the parity tests pin this).
+    Circuits that share one MNA structure (same nodes and element
+    connectivity -- exactly what one topology's ``build`` produces over a
+    population of width vectors, including the same population rebuilt at
+    several PVT corners) are solved *together*: the residual/Jacobian
+    assembly is vectorized over candidates and devices, and every Newton
+    iteration makes one stacked linear solve.  Candidates of one group may
+    differ in MOSFET widths, MOSFET technology parameters (corner-skewed
+    ``vt0``/``kp``/``ut``) and voltage-source DC values (corner-scaled
+    supplies).  Each candidate's floating-point operations are exactly
+    those of a one-circuit solve, so results do not depend on what else is
+    in the batch.
 
     ``initial_guess`` is either one mapping shared by every candidate or a
     sequence of per-candidate mappings aligned with ``circuits`` (the
@@ -366,8 +302,9 @@ def solve_dc_many(  # checks: hot-path
     scaled rail).
 
     Failures are isolated per candidate: a design whose plain Newton stage
-    diverges falls back to the scalar continuation strategies, and if those
-    fail too its slot holds the :class:`ConvergenceError` instead of a
+    diverges moves on to gmin stepping, then to source stepping, together
+    with the other candidates that need the same strategy; if all fail its
+    slot holds the :class:`ConvergenceError` instead of a
     :class:`DCSolution` -- one bad design never aborts the batch.
 
     Returns a list aligned with ``circuits`` whose entries are either
@@ -388,7 +325,7 @@ def solve_dc_many(  # checks: hot-path
 
 def _per_candidate_guesses(initial_guess, count: int) -> list:
     """Normalize the ``initial_guess`` argument to one entry per circuit."""
-    if initial_guess is None or isinstance(initial_guess, dict):
+    if initial_guess is None or isinstance(initial_guess, Mapping):
         return [initial_guess] * count
     guesses = list(initial_guess)
     if len(guesses) != count:
@@ -406,13 +343,13 @@ def _structure_key(circuit: Circuit):
     DC values are deliberately *excluded* so one population evaluated at
     several PVT corners still forms a single batch (the corner axis stacks
     into the candidate axis).  Device polarity stays in the key: the
-    assembly treats it as a per-slot scalar.
+    assembly treats it as a per-device constant.
     """
     return (
         tuple(circuit.nodes()),
         tuple((r.node1, r.node2, r.resistance) for r in circuit.resistors),
         tuple((s.pos, s.neg, s.dc) for s in circuit.isources),
-        tuple((s.pos, s.neg) for s in circuit.vsources),
+        tuple((s.name, s.pos, s.neg) for s in circuit.vsources),
         tuple(
             (m.name, m.drain, m.gate, m.source, m.tech.polarity, m.length)
             for m in circuit.mosfets
@@ -420,363 +357,157 @@ def _structure_key(circuit: Circuit):
     )
 
 
-class _ArrayTech:
-    """Per-candidate technology parameters for one MOSFET slot.
+#: TechParams fields the device-axis evaluation reads.
+_TECH_FIELDS = ("vt0", "n_slope", "kp", "ut", "lambda_l", "cox", "cov", "cj", "pb", "mj")
 
-    Duck-types the :class:`~repro.devices.TechParams` fields the EKV DC
-    path reads (``vt0``/``n_slope``/``kp``/``ut``/``lambda_l`` plus
-    :meth:`spec_current`) with numpy arrays over the candidate axis, so
-    :class:`~repro.devices.EKVModel` evaluates a whole corner-mixed batch
-    in one broadcasted sweep.  Elementwise ufuncs make each candidate's
-    result bit-identical to the scalar-tech evaluation.
+
+class _DeviceTech:
+    """Technology parameters along the ``(candidates, devices)`` axis.
+
+    Duck-types :class:`~repro.devices.TechParams` for :class:`EKVModel`:
+    every field is an array of shape ``(1, devices)`` when all candidates
+    share each device's parameters, or ``(candidates, devices)`` when the
+    batch mixes PVT corners.  ``ut_sq`` holds each device's ``ut**2``
+    computed exactly as :meth:`TechParams.spec_current` does.
     """
 
-    __slots__ = ("vt0", "n_slope", "kp", "ut", "lambda_l")
+    __slots__ = (*_TECH_FIELDS, "ut_sq")
 
-    def __init__(self, vt0, n_slope, kp, ut, lambda_l):
-        self.vt0 = vt0
-        self.n_slope = n_slope
-        self.kp = kp
-        self.ut = ut
-        self.lambda_l = lambda_l
+    def __init__(self, rows: list):
+        for name in _TECH_FIELDS:
+            setattr(self, name, np.array([[getattr(t, name) for t in row] for row in rows]))
+        self.ut_sq = np.array([[t.ut**2 for t in row] for row in rows])
 
-    @classmethod
-    def from_techs(cls, techs) -> _ArrayTech:
-        return cls(
-            vt0=np.array([t.vt0 for t in techs]),
-            n_slope=np.array([t.n_slope for t in techs]),
-            kp=np.array([t.kp for t in techs]),
-            ut=np.array([t.ut for t in techs]),
-            lambda_l=np.array([t.lambda_l for t in techs]),
-        )
-
-    def take(self, indices: np.ndarray) -> _ArrayTech:
-        return _ArrayTech(
-            self.vt0[indices],
-            self.n_slope[indices],
-            self.kp[indices],
-            self.ut[indices],
-            self.lambda_l[indices],
-        )
+    def take(self, indices) -> _DeviceTech:
+        subset = _DeviceTech.__new__(_DeviceTech)
+        for name in self.__slots__:
+            value = getattr(self, name)
+            setattr(subset, name, value if value.shape[0] == 1 else value[indices])
+        return subset
 
     def spec_current(self, width, length):
-        # Mirrors TechParams.spec_current arithmetic without the scalar
-        # validation (widths were validated when the circuits were built).
-        return 2.0 * self.n_slope * self.kp * (width / length) * self.ut**2
+        # TechParams.spec_current arithmetic; widths were validated when
+        # the MOSFETs were built.
+        return 2.0 * self.n_slope * self.kp * (width / length) * self.ut_sq
 
 
 class _BatchStamps:
     """Per-candidate element data of one structure-sharing batch.
 
-    Holds, for each MOSFET slot, the width vector and the evaluation model
-    (a plain shared :class:`EKVModel` when every candidate uses the same
-    technology parameters -- the pre-corner fast path -- or an
-    :class:`_ArrayTech`-backed model when the batch mixes corners), and for
-    each voltage source its DC value (scalar when shared, array when
-    corner-scaled supplies differ).
+    MOSFET widths, technology parameters and the derived ``Ispec`` and
+    channel-length-modulation ``lambda`` live on a ``(candidates,
+    devices)`` axis (computed once per stamp set, not per iteration);
+    voltage-source DC values on ``(candidates, sources)``.  Shared values
+    keep a leading axis of one and broadcast.
     """
 
-    __slots__ = ("slot_widths", "slot_models", "slot_polarity", "vsource_dc")
+    __slots__ = ("widths", "tech", "ispec", "lam", "vsource_dc")
 
     def __init__(self, circuits: list):
-        first = circuits[0]
-        self.slot_widths = [
-            np.array([circuit.mosfets[slot].width for circuit in circuits])
-            for slot in range(len(first.mosfets))
-        ]
-        self.slot_models = []
-        self.slot_polarity = []
-        for slot, mosfet in enumerate(first.mosfets):
-            self.slot_polarity.append(mosfet.tech.polarity)
-            techs = [circuit.mosfets[slot].tech for circuit in circuits]
-            if all(tech == techs[0] for tech in techs[1:]):
-                self.slot_models.append(mosfet.model)
-            else:
-                self.slot_models.append(EKVModel(_ArrayTech.from_techs(techs)))
-        self.vsource_dc = []
-        for k, source in enumerate(first.vsources):
-            values = [circuit.vsources[k].dc for circuit in circuits]
-            if all(value == values[0] for value in values[1:]):
-                self.vsource_dc.append(source.dc)
-            else:
-                self.vsource_dc.append(np.array(values))
+        techs = [tuple(m.tech for m in circuit.mosfets) for circuit in circuits]
+        uniform = all(row == techs[0] for row in techs[1:])
+        self.tech = _DeviceTech(techs[:1] if uniform else techs)
+        self.widths = np.array([[m.width for m in circuit.mosfets] for circuit in circuits])
+        lengths = np.array([m.length for m in circuits[0].mosfets])
+        self.ispec = self.tech.spec_current(self.widths, lengths)
+        self.lam = self.tech.lambda_l / lengths
+        dcs = [[s.dc for s in circuit.vsources] for circuit in circuits]
+        self.vsource_dc = np.array(dcs[:1] if all(row == dcs[0] for row in dcs[1:]) else dcs)
 
-    def take(self, indices: np.ndarray) -> _BatchStamps:
+    def take(self, indices) -> _BatchStamps:
         subset = _BatchStamps.__new__(_BatchStamps)
-        subset.slot_widths = [w[indices] for w in self.slot_widths]
-        subset.slot_polarity = self.slot_polarity
-        subset.slot_models = [
-            EKVModel(model.tech.take(indices))
-            if isinstance(model.tech, _ArrayTech)
-            else model
-            for model in self.slot_models
-        ]
-        subset.vsource_dc = [
-            dc[indices] if isinstance(dc, np.ndarray) else dc for dc in self.vsource_dc
-        ]
+        subset.tech = self.tech.take(indices)
+        for name in ("widths", "ispec", "lam", "vsource_dc"):
+            value = getattr(self, name)
+            setattr(subset, name, value if value.shape[0] == 1 else value[indices])
         return subset
 
 
-def _solve_batch(circuits: list, guesses: list, max_iterations: int) -> list:
-    """Solve one structure-sharing group; see :func:`solve_dc_many`."""
-    system = _MNASystem(circuits[0])
-    stamps = _BatchStamps(circuits)
-    # Per-candidate starting points: the heuristic guess reads the
-    # candidate's own source values (corner-scaled supplies differ), so
-    # each x0 is exactly what the scalar solve_dc would start from.  The
-    # pre-corner common case -- every candidate shares the source values
-    # and the caller's guess -- keeps the old one-x0-tiled fast path
-    # (bit-identical: _default_guess depends only on sources and indices).
-    uniform_sources = all(
-        not isinstance(dc, np.ndarray) for dc in stamps.vsource_dc
-    )
-    first_guess = guesses[0]
-    uniform_guesses = all(
-        guess is first_guess or guess == first_guess for guess in guesses[1:]
-    )
-    if uniform_sources and uniform_guesses:
-        x0s = np.tile(_initial_point(system, first_guess), (len(circuits), 1))
-    else:
-        x0s = _initial_points_batch(system, stamps, guesses, len(circuits))
-    pattern = _structure_pattern(system)
-    xs, iters, converged = _newton_batch(
-        system, stamps, x0s, 1.0, GMIN, max_iterations, pattern=pattern
-    )
-    outcomes: list = []
-    for j, circuit in enumerate(circuits):
-        # _finalize extracts operating points from the candidate's *own*
-        # MOSFET instances, so rebuild the (cheap) per-candidate system.
-        if converged[j]:
-            outcomes.append(_finalize(_MNASystem(circuit), xs[j], int(iters[j]), "newton"))
-            continue
-        try:
-            outcomes.append(
-                _solve_with_continuation(
-                    _MNASystem(circuit), x0s[j].copy(), max_iterations, skip_plain_newton=True
-                )
-            )
-        except ConvergenceError as error:
-            outcomes.append(error)
-    return outcomes
+def _with_ground(x: np.ndarray) -> np.ndarray:
+    """``(P, size)`` unknowns plus the zero ground column at index ``size``."""
+    return np.concatenate((x, np.zeros((x.shape[0], 1))), axis=1)
 
 
-def _initial_points_batch(
-    system: _MNASystem, stamps: _BatchStamps, guesses: list, batch: int
-) -> np.ndarray:
-    """Per-candidate starting points without per-candidate systems.
-
-    Mirrors ``_default_guess`` + ``_initial_point`` arithmetic using the
-    group's shared node indexing and the per-candidate source DC values
-    already collected in ``stamps`` (each candidate's row is bit-identical
-    to what the scalar path computes for that candidate's own circuit).
-    """
-    n = system.n_nodes
-    if stamps.vsource_dc:
-        dc_rows = np.stack(
-            [
-                np.broadcast_to(np.asarray(dc, dtype=float), (batch,))
-                for dc in stamps.vsource_dc
-            ]
-        )
-        supply = np.max(np.abs(dc_rows), axis=0)
-    else:
-        supply = np.ones(batch)
-    x0s = np.zeros((batch, system.size))
-    x0s[:, :n] = (supply / 2.0)[:, None]
-    for k, src in enumerate(system.circuit.vsources):
-        ip = system.node_index(src.pos)
-        in_ = system.node_index(src.neg)
-        dc = np.broadcast_to(np.asarray(stamps.vsource_dc[k], dtype=float), (batch,))
-        if ip is not None and in_ is None:
-            x0s[:, ip] = dc
-        elif ip is None and in_ is not None:
-            x0s[:, in_] = -dc
-    for j, guess in enumerate(guesses):
-        if guess:
-            for name, value in guess.items():
-                idx = system.node_index(name)
-                if idx is not None:
-                    x0s[j, idx] = value
-    return x0s
+def _device_bias(system: _MNASystem, xe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polarity-normalized ``(vgs, vds)`` of every device, ``(P, devices)``."""
+    k = system.polarity.size
+    v = xe[:, system.terminals]
+    vd, vg, vs = v[:, :k], v[:, k : 2 * k], v[:, 2 * k :]
+    return system.polarity * (vg - vs), system.polarity * (vd - vs)
 
 
-def _residual_and_jacobian_batch(
+def _scatter_add(flat: np.ndarray, plan, values: np.ndarray) -> None:
+    """Apply one layered contribution plan (see :func:`_scatter_layers`)."""
+    if plan is None:
+        return
+    targets, columns, signs, bounds = plan
+    contributions = values[:, columns] * signs
+    for start, stop in bounds:
+        flat[:, targets[start:stop]] += contributions[:, start:stop]
+
+
+def _residual_and_jacobian_batch(  # checks: hot-path
     system: _MNASystem,
     stamps: _BatchStamps,
     x: np.ndarray,
     source_scale: float,
     gmin: float,
     out: tuple[np.ndarray, np.ndarray] | None = None,
+    companion: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized counterpart of ``_MNASystem.residual_and_jacobian``.
+    """Evaluate ``f(x)`` and ``J(x)`` for every candidate of a batch.
 
-    ``x`` has shape ``(P, size)`` -- one unknown vector per candidate --
-    and ``stamps`` carries the per-candidate widths, technology parameters
-    and source values.  Every stamp mirrors the scalar assembly operation
-    for operation; because numpy ufuncs are elementwise, each candidate's
-    row is bit-identical to what the scalar assembly produces for that
-    candidate alone.
+    ``x`` has shape ``(P, size)`` -- one unknown vector per candidate.
+    ``source_scale`` multiplies every independent source value (the
+    source-stepping continuation) and ``gmin`` is the shunt conductance
+    to ground at each node.  All MOSFETs are evaluated in one call along
+    the device axis; stamps accumulate in element order (gmin, resistors,
+    current sources, MOSFETs, voltage sources, capacitor companions), so
+    every entry's sum is the same whatever the batch.
 
-    ``out`` optionally supplies preallocated ``(f, jac)`` buffers of shape
-    ``(P, size)`` / ``(P, size, size)``; they are zero-filled before
-    assembly, so reuse across Newton iterations is bit-identical to fresh
-    allocation.
+    ``companion`` adds the transient capacitor companions as
+    ``(x_prev, hist, g)``: element ``e`` carries the current
+    ``g[e] * (dv - dv_prev) - hist[e]`` and conductance ``g[e]``.
+
+    ``out`` optionally supplies ``(f, jac)`` buffers of shape
+    ``(P, size)`` / ``(P, size, size)``; they are overwritten.
     """
-    circuit = system.circuit
-    n = system.n_nodes
+    n, size = system.n_nodes, system.size
     batch = x.shape[0]
     if out is None:
-        f = np.zeros((batch, system.size))
-        jac = np.zeros((batch, system.size, system.size))
+        f = np.empty((batch, size))
+        jac = np.empty((batch, size, size))
     else:
         f, jac = out
-        f[:] = 0.0
-        jac[:] = 0.0
+    xe = _with_ground(x)
+    vgs, vds = _device_bias(system, xe)
+    tech = stamps.tech
+    ids, gm, gds = dc_currents(vgs, vds, tech.vt0, tech.n_slope, tech.ut, stamps.ispec, stamps.lam)
 
-    def volt(idx: int | None):
-        return 0.0 if idx is None else x[:, idx]
+    r1, r2 = system.resistor_nodes
+    columns = [
+        system.conductance * (xe[:, r1] - xe[:, r2]),
+        np.broadcast_to(system.isource_dc * source_scale, (batch, system.isource_dc.size)),
+        system.polarity * ids,
+        x[:, n:],
+    ]
+    jac_columns = [gds, gm, gm + gds]
+    if companion is not None:
+        x_prev, hist, g = companion
+        c1, c2 = system.cap_nodes
+        xpe = _with_ground(x_prev)
+        columns.append(g * ((xe[:, c1] - xe[:, c2]) - (xpe[:, c1] - xpe[:, c2])) - hist)
+        jac_columns.append(g)
 
-    # gmin shunts keep floating subcircuits well-conditioned.
-    if n:
-        f[:, :n] += gmin * x[:, :n]
-        diag = np.arange(n)
-        jac[:, diag, diag] += gmin
+    f[:] = 0.0
+    f[:, :n] += gmin * x[:, :n]
+    _scatter_add(f, system.f_plan, np.concatenate(columns, axis=1))
+    vp, vn = system.vsource_nodes
+    f[:, n:] = (xe[:, vp] - xe[:, vn]) - stamps.vsource_dc * source_scale
 
-    for res in circuit.resistors:
-        i1, i2 = system.node_index(res.node1), system.node_index(res.node2)
-        g = res.conductance
-        current = g * (volt(i1) - volt(i2))
-        if i1 is not None:
-            f[:, i1] += current
-            jac[:, i1, i1] += g
-            if i2 is not None:
-                jac[:, i1, i2] -= g
-        if i2 is not None:
-            f[:, i2] -= current
-            jac[:, i2, i2] += g
-            if i1 is not None:
-                jac[:, i2, i1] -= g
-
-    for src in circuit.isources:
-        ip, in_ = system.node_index(src.pos), system.node_index(src.neg)
-        value = src.dc * source_scale
-        if ip is not None:
-            f[:, ip] += value
-        if in_ is not None:
-            f[:, in_] -= value
-
-    for slot, mosfet in enumerate(circuit.mosfets):
-        id_, ig, is_ = (
-            system.node_index(mosfet.drain),
-            system.node_index(mosfet.gate),
-            system.node_index(mosfet.source),
-        )
-        vd, vg, vs = volt(id_), volt(ig), volt(is_)
-        widths = stamps.slot_widths[slot]
-        model = stamps.slot_models[slot]
-        pol = stamps.slot_polarity[slot]
-        # Mirrors MOSFET.ids / MOSFET.conductances with width (and, for
-        # corner-mixed batches, tech-parameter) vectors.
-        vgs = pol * (vg - vs)
-        vds = pol * (vd - vs)
-        ids = pol * model.drain_current(vgs, vds, widths, mosfet.length)
-        gm = model.transconductance(vgs, vds, widths, mosfet.length)
-        gds = model.output_conductance(vgs, vds, widths, mosfet.length)
-        # Current i_ds leaves the drain node and enters the source node.
-        if id_ is not None:
-            f[:, id_] += ids
-            jac[:, id_, id_] += gds
-            if ig is not None:
-                jac[:, id_, ig] += gm
-            if is_ is not None:
-                jac[:, id_, is_] -= gm + gds
-        if is_ is not None:
-            f[:, is_] -= ids
-            jac[:, is_, is_] += gm + gds
-            if id_ is not None:
-                jac[:, is_, id_] -= gds
-            if ig is not None:
-                jac[:, is_, ig] -= gm
-
-    for k, src in enumerate(circuit.vsources):
-        row = n + k
-        ip, in_ = system.node_index(src.pos), system.node_index(src.neg)
-        branch_current = x[:, row]
-        # Branch current flows out of the positive node.
-        if ip is not None:
-            f[:, ip] += branch_current
-            jac[:, ip, row] += 1.0
-        if in_ is not None:
-            f[:, in_] -= branch_current
-            jac[:, in_, row] -= 1.0
-        # ``dc`` is a scalar when the batch shares the value, an array over
-        # candidates when supplies are corner-scaled.
-        f[:, row] = volt(ip) - volt(in_) - stamps.vsource_dc[k] * source_scale
-        if ip is not None:
-            jac[:, row, ip] += 1.0
-        if in_ is not None:
-            jac[:, row, in_] -= 1.0
-
+    jac[:] = system.base_jacobian(gmin)
+    _scatter_add(jac.reshape(batch, size * size), system.j_plan, np.concatenate(jac_columns, axis=1))
     return f, jac
-
-
-def _jacobian_coords(
-    system: _MNASystem, cap_pairs: Sequence[tuple[int | None, int | None]] = ()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Structural ``(row, col)`` coordinates of every Jacobian entry.
-
-    The symbolic input of :func:`repro.spice.linsolve.factorize_structure`:
-    walks the same element lists as the assembly and records which matrix
-    entries any iterate can touch — a superset of every single iterate's
-    numeric nonzeros, shared by the whole structure-key group (all
-    candidates, Newton iterations and, with ``cap_pairs``, every
-    transient time step).  Duplicates are fine; the pattern deduplicates.
-    """
-    n = system.n_nodes
-    rows: list[int] = list(range(n))  # gmin shunt diagonal
-    cols: list[int] = list(range(n))
-
-    def entry(r: int | None, c: int | None) -> None:
-        if r is not None and c is not None:
-            rows.append(r)
-            cols.append(c)
-
-    def admittance(i1: int | None, i2: int | None) -> None:
-        entry(i1, i1)
-        entry(i1, i2)
-        entry(i2, i1)
-        entry(i2, i2)
-
-    circuit = system.circuit
-    for res in circuit.resistors:
-        admittance(system.node_index(res.node1), system.node_index(res.node2))
-    for i1, i2 in cap_pairs:
-        admittance(i1, i2)
-    for mosfet in circuit.mosfets:
-        id_, ig, is_ = (
-            system.node_index(mosfet.drain),
-            system.node_index(mosfet.gate),
-            system.node_index(mosfet.source),
-        )
-        for r in (id_, is_):
-            for c in (id_, ig, is_):
-                entry(r, c)
-    for k, src in enumerate(circuit.vsources):
-        row = n + k
-        ip, in_ = system.node_index(src.pos), system.node_index(src.neg)
-        entry(ip, row)
-        entry(row, ip)
-        entry(in_, row)
-        entry(row, in_)
-    return np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-
-
-def _structure_pattern(
-    system: _MNASystem, cap_pairs: Sequence[tuple[int | None, int | None]] = ()
-) -> linsolve.StructurePattern:
-    """Symbolic solve pattern of one structure-key group (built once)."""
-    rows, cols = _jacobian_coords(system, cap_pairs)
-    return linsolve.factorize_structure(rows, cols, system.size)
 
 
 def _solve_newton_steps(  # checks: hot-path
@@ -786,10 +517,10 @@ def _solve_newton_steps(  # checks: hot-path
 ) -> np.ndarray:
     """Stacked ``J dx = -f`` through the pluggable linsolve layer.
 
-    The dense backend reproduces the historical arithmetic bit for bit
-    (one stacked ``np.linalg.solve`` with the scalar path's per-item
-    lstsq fallback); structures at or above the sparse threshold ride
-    SuperLU via the group's precomputed symbolic ``pattern``.
+    The dense backend is one stacked ``np.linalg.solve`` with a per-item
+    lstsq fallback on singular systems; structures at or above the sparse
+    threshold ride SuperLU via the group's precomputed symbolic
+    ``pattern``.
     """
     return linsolve.solve_stacked(jac, -f, pattern=pattern)
 
@@ -803,83 +534,227 @@ def _newton_batch(  # checks: hot-path
     max_iterations: int = 150,
     abstol: float = 1e-10,
     reltol: float = 1e-9,
-    pattern: linsolve.StructurePattern | None = None,
+    companion: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton over one candidate group; per-candidate convergence.
 
-    ``x0s`` has shape ``(batch, size)`` -- one starting point per candidate.
-    Candidates freeze the moment their own convergence criterion fires, so
-    each trajectory reproduces the scalar ``_newton`` iteration for that
-    candidate exactly.  Returns ``(solutions, iterations, converged)``.
+    The one Newton loop of the DC and transient engines.  ``x0s`` has
+    shape ``(batch, size)`` -- one starting point per candidate (for a
+    transient step, the previous time point, with ``companion`` carrying
+    the capacitor stamps).  Candidates freeze the moment their own
+    convergence criterion fires, so each trajectory is exactly the
+    one-candidate iteration.  Returns ``(solutions, iterations,
+    converged)``; unconverged rows of ``solutions`` hold their start.
 
-    ``pattern`` is the group's symbolic solve structure (built once by
-    the caller); every iteration's stacked solve reuses it.
+    ``work`` optionally carries preallocated ``(f, jac)`` buffers with
+    leading dimension >= ``batch`` (the transient driver shares one pair
+    across every time step).
     """
     n = system.n_nodes
     batch = x0s.shape[0]
-    x = np.array(x0s, copy=True)
-    solutions = np.array(x, copy=True)
+    solutions = np.array(x0s, copy=True)
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
     active = np.arange(batch)
-    # Preallocated per-iteration workspace.  Assembly zero-fills the
-    # sliced views, a gathered stamp subset carries the same values, and
-    # the all-zero residual placeholder never changes -- so buffer reuse
-    # is bit-identical to the former fresh allocation every iteration.
-    active_stamps = stamps
-    f_buf = np.zeros((batch, system.size))
-    jac_buf = np.zeros((batch, system.size, system.size))
-    zero_residual = np.zeros(batch)
+    x = np.array(x0s, copy=True)  # the active candidates' iterates
+    active_stamps, active_companion = stamps, companion
+    if work is None:
+        work = (np.empty((batch, system.size)), np.empty((batch, system.size, system.size)))
+    f_buf, jac_buf = work
+    pattern = system.pattern if linsolve.uses_sparse(system.size) else None
 
     for iteration in range(1, max_iterations + 1):
         m = active.size
         f, jac = _residual_and_jacobian_batch(
-            system, active_stamps, x[active], source_scale, gmin,
-            out=(f_buf[:m], jac_buf[:m]),
+            system, active_stamps, x, source_scale, gmin,
+            out=(f_buf[:m], jac_buf[:m]), companion=active_companion,
         )
         dx = _solve_newton_steps(jac, f, pattern)
         # Voltage-step damping: scale each candidate's update so no node
         # moves more than MAX_STEP volts in one iteration.
         if n:
-            v_step = np.max(np.abs(dx[:, :n]), axis=1)
+            v_step = np.abs(dx[:, :n]).max(axis=1)
             over = v_step > MAX_STEP
-            if np.any(over):
+            if over.any():
                 dx[over] *= (MAX_STEP / v_step[over])[:, None]
-        x[active] += dx
-        node_residual = (
-            np.max(np.abs(f[:, :n]), axis=1) if n else zero_residual[:m]
-        )
-        done = (node_residual < abstol) & (np.max(np.abs(dx), axis=1) < reltol)
-        if np.any(done):
+        x += dx
+        node_residual = np.abs(f[:, :n]).max(axis=1, initial=0.0)
+        done = (node_residual < abstol) & (np.abs(dx).max(axis=1, initial=0.0) < reltol)
+        if done.any():
             newly = active[done]
-            solutions[newly] = x[newly]
+            solutions[newly] = x[done]
             iterations[newly] = iteration
             converged[newly] = True
-            active = active[~done]
+            keep = ~done
+            active, x = active[keep], x[keep]
             if active.size == 0:
                 break
             # Re-gather stamps only when the active set shrinks.
             active_stamps = stamps.take(active)
+            if companion is not None:
+                active_companion = tuple(part[active] for part in companion)
     return solutions, iterations, converged
 
 
-def _finalize(system: _MNASystem, x: np.ndarray, iterations: int, strategy: str) -> DCSolution:
-    voltages, currents = system.unpack(x)
+#: The continuation strategies in the order they are tried: name, the
+#: ``(source_scale, gmin)`` stages, and whether to start from the initial
+#: guess (else from all zeros).  Each stage starts where the last ended.
+_STRATEGIES = (
+    ("newton", ((1.0, GMIN),), True),
+    ("gmin-stepping", tuple((1.0, 10.0 ** (-exponent)) for exponent in range(3, 13)), True),
+    ("source-stepping", tuple((float(scale), GMIN) for scale in np.linspace(0.1, 1.0, 10)), False),
+)
 
-    def volt(node: str) -> float:
-        return 0.0 if node == GROUND else voltages[node]
 
-    ops = {
-        mosfet.name: mosfet.operating_point(
-            volt(mosfet.drain), volt(mosfet.gate), volt(mosfet.source)
+def _continuation(
+    system: _MNASystem, stamps: _BatchStamps, x0s: np.ndarray, max_iterations: int
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Run the stacked strategies over a batch; each strategy is one
+    batched pass over the candidates every earlier strategy failed.
+
+    Returns ``(solutions, iterations, strategy names)``; a candidate no
+    strategy converged has strategy ``None``.  Iterations count every
+    stage of the strategy that succeeded.
+    """
+    batch = x0s.shape[0]
+    solutions = np.zeros_like(x0s)
+    iterations = np.zeros(batch, dtype=int)
+    strategies: list = [None] * batch
+    pending = np.arange(batch)
+    for name, stages, from_guess in _STRATEGIES:
+        x = x0s[pending] if from_guess else np.zeros((pending.size, system.size))
+        total = np.zeros(pending.size, dtype=int)
+        alive = np.arange(pending.size)
+        for source_scale, gmin in stages:
+            subset = stamps if alive.size == batch else stamps.take(pending[alive])
+            x[alive], stage_iterations, converged = _newton_batch(
+                system, subset, x[alive], source_scale, gmin, max_iterations
+            )
+            total[alive] += stage_iterations
+            alive = alive[converged]
+            if alive.size == 0:
+                break
+        done = pending[alive]
+        solutions[done] = x[alive]
+        iterations[done] = total[alive]
+        for j in done.tolist():
+            strategies[j] = name
+        pending = np.delete(pending, alive)
+        if pending.size == 0:
+            break
+    return solutions, iterations, strategies
+
+
+def _solve_batch(circuits: list, guesses: list, max_iterations: int) -> list:
+    """Solve one structure-sharing group; see :func:`solve_dc_many`."""
+    system = _system(_structure_key(circuits[0]))
+    stamps = _BatchStamps(circuits)
+    x0s = _initial_points(system, stamps, guesses)
+    xs, iterations, strategies = _continuation(system, stamps, x0s, max_iterations)
+    solved = [j for j, strategy in enumerate(strategies) if strategy is not None]
+    solutions = iter(
+        _finalize(
+            system,
+            stamps.take(solved),
+            [circuits[j] for j in solved],
+            xs[solved],
+            [(int(iterations[j]), strategies[j]) for j in solved],
         )
-        for mosfet in system.circuit.mosfets
-    }
-    return DCSolution(
-        circuit=system.circuit,
-        node_voltages=voltages,
-        source_currents=currents,
-        iterations=iterations,
-        strategy=strategy,
-        operating_points=ops,
     )
+    return [
+        next(solutions) if strategy is not None
+        else ConvergenceError(f"DC solve failed for circuit {circuit.name!r} with all strategies")
+        for circuit, strategy in zip(circuits, strategies, strict=True)
+    ]
+
+
+def _initial_points(
+    system: _MNASystem, stamps: _BatchStamps, guesses: list
+) -> np.ndarray:
+    """Per-candidate starting points.
+
+    Nodes start at half the largest source magnitude, nodes pinned to
+    ground by a voltage source start at its value, then each candidate's
+    guess overrides its named nodes.  The heuristic reads every
+    candidate's own source values, so corner-scaled supplies start at
+    their own rails.
+    """
+    batch = len(guesses)
+    n = system.n_nodes
+    dc = np.broadcast_to(stamps.vsource_dc, (batch, system.n_sources))
+    supply = np.max(np.abs(dc), axis=1) if system.n_sources else np.ones(batch)
+    x0s = np.zeros((batch, system.size))
+    x0s[:, :n] = (supply / 2.0)[:, None]
+    for k, (ip, in_) in enumerate(zip(*system.vsource_nodes.tolist())):
+        if ip != system.size and in_ == system.size:
+            x0s[:, ip] = dc[:, k]
+        elif ip == system.size and in_ != system.size:
+            x0s[:, in_] = -dc[:, k]
+    shared = all(guess is guesses[0] for guess in guesses)
+    for j, guess in enumerate(guesses[:1] if shared else guesses):
+        rows = slice(None) if shared else j
+        for name, value in (guess or {}).items():
+            idx = system.node_index(name)
+            if idx is not None:
+                x0s[rows, idx] = value
+    return x0s
+
+
+def _finalize(
+    system: _MNASystem,
+    stamps: _BatchStamps,
+    circuits: list,
+    xs: np.ndarray,
+    convergence: list,
+) -> list[DCSolution]:
+    """Solutions plus every MOSFET's operating point, evaluated along the
+    device axis in one pass."""
+    if not circuits:
+        return []
+    vgs, vds = _device_bias(system, _with_ground(xs))
+    tech = stamps.tech
+    model = EKVModel(tech)
+    values = model.evaluate_all(vgs, vds, stamps.widths, system.lengths)
+    # The Cds grading ``bias**mj`` of a one-device evaluation is a scalar
+    # pow, which can round differently from numpy's vectorized pow in the
+    # last place; grade device by device so every operating point is the
+    # one MOSFET.operating_point reports.
+    bias = model.junction_bias(vds)
+    mj = np.broadcast_to(tech.mj, bias.shape)
+    grading = np.reshape(list(map(pow, bias.ravel().tolist(), mj.ravel().tolist())), bias.shape)
+    values["cds"] = tech.cj * stamps.widths / grading
+    columns = {name: value.tolist() for name, value in values.items()}
+    ic = model.inversion_coefficient(vgs, vds).tolist()
+    saturated = model.is_saturated(vgs, vds).tolist()
+    vgs, vds = vgs.tolist(), vds.tolist()
+    solutions = []
+    for j, (circuit, (iterations, strategy)) in enumerate(zip(circuits, convergence, strict=True)):
+        voltages, currents = system.unpack(xs[j])
+        ops = {
+            mosfet.name: OperatingPoint(
+                vgs=vgs[j][k],
+                vds=vds[j][k],
+                small_signal=SmallSignal(
+                    id=columns["id"][j][k],
+                    gm=columns["gm"][j][k],
+                    gds=columns["gds"][j][k],
+                    cgs=columns["cgs"][j][k],
+                    cds=columns["cds"][j][k],
+                ),
+                inversion_coefficient=ic[j][k],
+                saturated=saturated[j][k],
+            )
+            for k, mosfet in enumerate(circuit.mosfets)
+        }
+        solutions.append(
+            DCSolution(
+                circuit=circuit,
+                node_voltages=voltages,
+                source_currents=currents,
+                iterations=iterations,
+                strategy=strategy,
+                operating_points=ops,
+            )
+        )
+    return solutions

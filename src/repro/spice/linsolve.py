@@ -68,6 +68,7 @@ __all__ = [
     "pattern_from_matrices",
     "solve_stacked",
     "use_backend",
+    "uses_sparse",
 ]
 
 #: ``auto`` switches to the sparse backend at this many MNA unknowns.
@@ -180,12 +181,17 @@ def use_backend(mode: str | None = None, sparse_min_size: int | None = None):
         _CONFIG.mode, _CONFIG.sparse_min_size = previous
 
 
-def _use_sparse(pattern: StructurePattern | None, size: int) -> bool:
-    if pattern is None or not HAVE_SPARSE or _CONFIG.mode == "dense":
+def uses_sparse(size: int) -> bool:
+    """True when a solve of ``size`` unknowns given a pattern runs on
+    SuperLU under the current backend selection (callers skip building
+    a pattern otherwise)."""
+    if not HAVE_SPARSE or _CONFIG.mode == "dense":
         return False
-    if _CONFIG.mode == "sparse":
-        return True
-    return size >= _CONFIG.sparse_min_size
+    return _CONFIG.mode == "sparse" or size >= _CONFIG.sparse_min_size
+
+
+def _use_sparse(pattern: StructurePattern | None, size: int) -> bool:
+    return pattern is not None and uses_sparse(size)
 
 
 def solve_stacked(
@@ -224,7 +230,7 @@ def _solve_dense(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _solve_item_dense(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One item's solve with the scalar path's lstsq recovery."""
+    """One item's solve, recovering a singular system with lstsq."""
     try:
         return np.linalg.solve(jac, rhs)
     except np.linalg.LinAlgError:

@@ -6,14 +6,13 @@ response computed here.  The formulation reuses the DC machinery of
 :mod:`repro.spice.dc` wholesale:
 
 * the resistive part of the residual/Jacobian at every time point is the
-  *same* EKV MNA assembly the DC solver stamps
-  (:meth:`repro.spice.dc._MNASystem.residual_and_jacobian` in the scalar
-  path, :func:`repro.spice.dc._residual_and_jacobian_batch` in the
-  batched one), so device physics exists in exactly one place;
+  *same* EKV MNA assembly and damped Newton loop the DC solver runs
+  (:func:`repro.spice.dc._newton_batch`), so device physics and the
+  iteration exist in exactly one place;
 * capacitive elements -- explicit capacitors plus each MOSFET's
   operating-point ``Cgs``/``Cds`` (the same linearization the AC analysis
   stamps) -- are discretized with backward-Euler or trapezoidal
-  companion models and solved with damped Newton at every time step.
+  companion models and enter that assembly as extra stamps.
 
 The testbench is a *step*: the simulation starts from a converged DC
 operating point (capacitor currents are zero -- a consistent initial
@@ -22,18 +21,16 @@ condition) and at ``t = 0+`` every independent source jumps by
 exactly the port the AC analysis drives (for the OTA testbenches: a
 differential input step of ``step_amplitude`` volts).
 
-:func:`run_tran_many` is the bulk path: solutions whose (stepped)
+:func:`run_tran_many` is the one kernel: solutions whose (stepped)
 circuits share one MNA structure -- one topology's population of width
-vectors, including the same population rebuilt at several PVT corners
-(the corner-skewed technology parameters ride the
-:class:`~repro.spice.dc._ArrayTech` path) -- integrate *together*, with
-the per-step Newton iterations vectorized over the candidate axis and
-one stacked ``np.linalg.solve`` per iteration.  Every per-candidate
-floating-point operation is elementwise-identical to the scalar path, so
-the returned waveforms are bit-identical to :func:`run_tran` run one
-candidate at a time (pinned by the parity tests), and failures are
-isolated per candidate: a design whose Newton diverges at some time step
-holds a :class:`~repro.spice.dc.ConvergenceError` in its slot instead of
+vectors, including the same population rebuilt at several PVT corners --
+integrate *together*, with the per-step Newton iterations vectorized over
+the candidate axis and one stacked linear solve per iteration.  Each
+candidate's floating-point operations are those of a one-circuit
+integration, so waveforms do not depend on what else is in the batch;
+:func:`run_tran` is a batch of one.  Failures are isolated per
+candidate: a design whose Newton diverges at some time step holds a
+:class:`~repro.spice.dc.ConvergenceError` in its slot instead of
 aborting the batch.
 """
 
@@ -43,18 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linsolve
 from .dc import (
     GMIN,
-    MAX_STEP,
     ConvergenceError,
     DCSolution,
     _BatchStamps,
     _MNASystem,
-    _residual_and_jacobian_batch,
-    _solve_newton_steps,
+    _newton_batch,
     _structure_key,
-    _structure_pattern,
+    _system,
+    _with_ground,
 )
 from .netlist import GROUND, Circuit
 
@@ -118,56 +113,6 @@ def step_sources(circuit: Circuit, amplitude: float) -> Circuit:
     return stepped
 
 
-# ----------------------------------------------------------------------
-# Capacitive elements (companion-model data)
-# ----------------------------------------------------------------------
-def _cap_elements(system: _MNASystem, solution: DCSolution) -> list:
-    """Capacitive two-terminal elements as ``(i1, i2, c)`` index triples.
-
-    Explicit capacitors keep their netlist value; each MOSFET contributes
-    its operating-point ``Cgs`` (gate-source) and ``Cds`` (drain-source),
-    the same linearization the AC analysis stamps.  Order is fixed
-    (capacitors, then per-MOSFET gs/ds) so the scalar and batched paths
-    stamp identically.
-    """
-    circuit = solution.circuit
-    elements = []
-    for cap in circuit.capacitors:
-        elements.append(
-            (system.node_index(cap.node1), system.node_index(cap.node2), cap.capacitance)
-        )
-    for mosfet in circuit.mosfets:
-        small = solution.op(mosfet.name).small_signal
-        gate = system.node_index(mosfet.gate)
-        drain = system.node_index(mosfet.drain)
-        source = system.node_index(mosfet.source)
-        elements.append((gate, source, small.cgs))
-        elements.append((drain, source, small.cds))
-    return elements
-
-
-def _cap_elements_batch(system: _MNASystem, solutions: list) -> list:
-    """Batched counterpart of :func:`_cap_elements`: ``c`` is a vector
-    over the candidate axis (same element order as the scalar path)."""
-    per_candidate = [_cap_elements(system, solution) for solution in solutions]
-    elements = []
-    for e, (i1, i2, _) in enumerate(per_candidate[0]):
-        values = np.array([caps[e][2] for caps in per_candidate])
-        elements.append((i1, i2, values))
-    return elements
-
-
-def _dv(x: np.ndarray, i1: int | None, i2: int | None):
-    """Branch voltage ``v(i1) - v(i2)`` with ground as implicit zero.
-
-    Works on a flat unknown vector (scalar path) and on a ``(P, size)``
-    stack (batched path, where it returns a per-candidate vector).
-    """
-    v1 = 0.0 if i1 is None else x[..., i1]
-    v2 = 0.0 if i2 is None else x[..., i2]
-    return v1 - v2
-
-
 def _step_coef(method: str, dt: float, step: int) -> float:
     """Companion-model conductance factor of one time step.
 
@@ -185,76 +130,6 @@ def _step_coef(method: str, dt: float, step: int) -> float:
     raise ValueError(f"unknown integration method {method!r} (known: {', '.join(METHODS)})")
 
 
-# ----------------------------------------------------------------------
-# Scalar path
-# ----------------------------------------------------------------------
-def _tran_residual(
-    system: _MNASystem,
-    caps: list,
-    x: np.ndarray,
-    x_prev: np.ndarray,
-    hist: np.ndarray,
-    coef: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual/Jacobian of one time step: DC stamps + cap companions.
-
-    The companion current of element ``e`` is
-    ``i = coef * C * (dv - dv_prev) - hist[e]`` where ``hist`` is zero
-    for backward-Euler and the previous step's capacitor current for the
-    trapezoidal rule.
-    """
-    f, jac = system.residual_and_jacobian(x, source_scale=1.0, gmin=GMIN)
-    for e, (i1, i2, c) in enumerate(caps):
-        g = coef * c
-        current = g * (_dv(x, i1, i2) - _dv(x_prev, i1, i2)) - hist[e]
-        if i1 is not None:
-            f[i1] += current
-            jac[i1, i1] += g
-            if i2 is not None:
-                jac[i1, i2] -= g
-        if i2 is not None:
-            f[i2] -= current
-            jac[i2, i2] += g
-            if i1 is not None:
-                jac[i2, i1] -= g
-    return f, jac
-
-
-def _tran_newton(
-    system: _MNASystem,
-    caps: list,
-    x_prev: np.ndarray,
-    hist: np.ndarray,
-    coef: float,
-    max_iterations: int,
-    abstol: float = 1e-10,
-    reltol: float = 1e-9,
-    pattern: linsolve.StructurePattern | None = None,
-) -> tuple[np.ndarray, int]:
-    """Damped Newton for one time step (mirrors :func:`repro.spice.dc._newton`).
-
-    ``pattern`` is the circuit's symbolic solve structure, built once by
-    :func:`run_tran` and reused across every time step's iterations; the
-    dense backend keeps the historical bit-exact arithmetic.
-    """
-    x = x_prev.copy()
-    for iteration in range(1, max_iterations + 1):
-        f, jac = _tran_residual(system, caps, x, x_prev, hist, coef)
-        dx = _solve_newton_steps(jac, f, pattern)
-        v_step = np.max(np.abs(dx[: system.n_nodes])) if system.n_nodes else 0.0
-        if v_step > MAX_STEP:
-            dx *= MAX_STEP / v_step
-        x += dx
-        node_residual = (
-            float(np.max(np.abs(f[: system.n_nodes]))) if system.n_nodes else 0.0
-        )
-        if node_residual < abstol and float(np.max(np.abs(dx), initial=0.0)) < reltol:
-            return x, iteration
-    raise ConvergenceError(
-        f"transient Newton failed after {max_iterations} iterations"
-    )
-
-
 def run_tran(
     solution: DCSolution,
     t_stop: float,
@@ -264,6 +139,8 @@ def run_tran(
     max_newton_iterations: int = MAX_TRAN_ITERATIONS,
 ) -> TranResult:
     """Integrate the step response of a solved circuit over ``[0, t_stop]``.
+
+    A batch of one through :func:`run_tran_many`.
 
     Parameters
     ----------
@@ -290,38 +167,12 @@ def run_tran(
     ConvergenceError
         If any time step's Newton iteration fails to converge.
     """
-    dt, times = _grid(method, t_stop, n_steps)
-    stepped = step_sources(solution.circuit, step_amplitude)
-    system = _MNASystem(stepped)
-    caps = _cap_elements(system, solution)
-    # Symbolic solve structure: DC stamps plus companion-model entries,
-    # computed once and reused by every time step's Newton iterations.
-    pattern = _structure_pattern(system, [(i1, i2) for i1, i2, _ in caps])
-    x = system.pack(solution.node_voltages, solution.source_currents)
-    waveforms = np.empty((n_steps + 1, system.n_nodes))
-    waveforms[0] = x[: system.n_nodes]
-    # Starting from DC steady state, every capacitor current is zero.
-    hist = np.zeros(len(caps))
-    total_iterations = 0
-    for step in range(1, n_steps + 1):
-        coef = _step_coef(method, dt, step)
-        x_new, iterations = _tran_newton(
-            system, caps, x, hist, coef, max_newton_iterations, pattern=pattern
-        )
-        total_iterations += iterations
-        if method == "trap":
-            for e, (i1, i2, c) in enumerate(caps):
-                hist[e] = coef * c * (_dv(x_new, i1, i2) - _dv(x, i1, i2)) - hist[e]
-        x = x_new
-        waveforms[step] = x[: system.n_nodes]
-    return TranResult(
-        times=times,
-        node_names=system.node_names,
-        waveforms=waveforms,
-        method=method,
-        step_amplitude=step_amplitude,
-        newton_iterations=total_iterations,
+    (outcome,) = run_tran_many(
+        [solution], t_stop, n_steps, method, step_amplitude, max_newton_iterations
     )
+    if isinstance(outcome, ConvergenceError):
+        raise outcome
+    return outcome
 
 
 def _grid(method: str, t_stop: float, n_steps: int) -> tuple[float, np.ndarray]:
@@ -338,9 +189,6 @@ def _grid(method: str, t_stop: float, n_steps: int) -> tuple[float, np.ndarray]:
     return dt, np.linspace(0.0, t_stop, n_steps + 1)
 
 
-# ----------------------------------------------------------------------
-# Batched path
-# ----------------------------------------------------------------------
 def _tran_structure_key(circuit: Circuit):
     """Transient grouping key: DC structure plus capacitor connectivity.
 
@@ -349,7 +197,7 @@ def _tran_structure_key(circuit: Circuit):
     align capacitor *slots* across a batch, so circuits differing in
     capacitor count or connectivity must never share a group.
     Capacitance values stay out of the key: they are per-candidate data
-    (``_cap_elements_batch`` vectorizes them), exactly like widths.
+    (:func:`_capacitances`), exactly like widths.
     """
     return (
         _structure_key(circuit),
@@ -367,13 +215,12 @@ def run_tran_many(  # checks: hot-path
 ) -> list:
     """Integrate the step responses of many operating points together.
 
-    The bulk path of the transient engine: solutions whose stepped
-    circuits share one MNA structure (one topology's candidate
-    population, corner-mixed batches included -- the structure key is the
-    corner-agnostic one of :func:`repro.spice.dc.solve_dc_many`) run every
-    time step's Newton iteration *together*, with vectorized assembly and
-    one stacked linear solve per iteration.  Waveforms are bit-identical
-    to :func:`run_tran` per candidate (pinned by the parity tests).
+    Solutions whose stepped circuits share one MNA structure (one
+    topology's candidate population, corner-mixed batches included -- the
+    structure key is the corner-agnostic one of
+    :func:`repro.spice.dc.solve_dc_many`) run every time step's Newton
+    iteration *together*, with vectorized assembly and one stacked linear
+    solve per iteration; see :func:`run_tran` for the parameters.
 
     Returns a list aligned with ``solutions`` whose entries are either
     :class:`TranResult` or :class:`ConvergenceError` (per-candidate
@@ -402,111 +249,26 @@ def run_tran_many(  # checks: hot-path
     return results
 
 
-def _stamp_caps_batch(  # checks: hot-path
-    f: np.ndarray,
-    jac: np.ndarray,
-    caps: list,
-    x: np.ndarray,
-    x_prev: np.ndarray,
-    hist: np.ndarray,
-    coef: float,
-) -> None:
-    """Vectorized counterpart of the capacitor stamps in :func:`_tran_residual`.
-
-    ``x``/``x_prev`` have shape ``(P, size)``, ``hist`` is ``(P, E)`` and
-    every element's capacitance is a per-candidate vector; each
-    candidate's row mirrors the scalar stamps operation for operation.
-    """
-    for e, (i1, i2, c) in enumerate(caps):
-        g = coef * c
-        current = g * (_dv(x, i1, i2) - _dv(x_prev, i1, i2)) - hist[:, e]
-        if i1 is not None:
-            f[:, i1] += current
-            jac[:, i1, i1] += g
-            if i2 is not None:
-                jac[:, i1, i2] -= g
-        if i2 is not None:
-            f[:, i2] -= current
-            jac[:, i2, i2] += g
-            if i1 is not None:
-                jac[:, i2, i1] -= g
+def _capacitances(solutions: list) -> np.ndarray:
+    """Companion-element capacitances, ``(candidates, elements)``, in the
+    element order of :class:`~repro.spice.dc._MNASystem`: explicit
+    capacitors keep their netlist value, then each MOSFET contributes its
+    operating-point ``Cgs`` and ``Cds`` (the AC analysis linearization)."""
+    rows = []
+    for solution in solutions:
+        row = [cap.capacitance for cap in solution.circuit.capacitors]
+        for mosfet in solution.circuit.mosfets:
+            small = solution.op(mosfet.name).small_signal
+            row += [small.cgs, small.cds]
+        rows.append(row)
+    return np.array(rows)
 
 
-def _tran_newton_batch(  # checks: hot-path
-    system: _MNASystem,
-    stamps: _BatchStamps,
-    caps: list,
-    x_prev: np.ndarray,
-    hist: np.ndarray,
-    coef: float,
-    max_iterations: int,
-    abstol: float = 1e-10,
-    reltol: float = 1e-9,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
-    pattern: linsolve.StructurePattern | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One time step's damped Newton over a candidate batch.
-
-    Mirrors :func:`repro.spice.dc._newton_batch`: candidates freeze the
-    moment their own convergence criterion fires, so each trajectory
-    reproduces the scalar :func:`_tran_newton` iteration exactly.
-    Returns ``(solutions, iterations, converged)``.
-
-    ``work`` optionally carries preallocated ``(f, jac)`` buffers with
-    leading dimension >= ``batch`` (the time-step driver shares one pair
-    across every step); assembly zero-fills the sliced views, so reuse
-    is bit-identical to fresh allocation.
-    """
-    n = system.n_nodes
-    batch = x_prev.shape[0]
-    x = np.array(x_prev, copy=True)
-    solutions = np.array(x, copy=True)
-    iterations = np.zeros(batch, dtype=int)
-    converged = np.zeros(batch, dtype=bool)
-    active = np.arange(batch)
-    # Preallocated per-iteration workspace; stamp/cap subsets are only
-    # re-gathered when the active set shrinks (gathered values are
-    # identical, so this is bit-identical to gathering every iteration).
-    active_stamps = stamps
-    active_caps = caps
-    if work is None:
-        f_buf = np.zeros((batch, system.size))
-        jac_buf = np.zeros((batch, system.size, system.size))
-    else:
-        f_buf, jac_buf = work
-    zero_residual = np.zeros(batch)
-
-    for iteration in range(1, max_iterations + 1):
-        m = active.size
-        f, jac = _residual_and_jacobian_batch(
-            system, active_stamps, x[active], 1.0, GMIN,
-            out=(f_buf[:m], jac_buf[:m]),
-        )
-        _stamp_caps_batch(
-            f, jac, active_caps, x[active], x_prev[active], hist[active], coef
-        )
-        dx = _solve_newton_steps(jac, f, pattern)
-        if n:
-            v_step = np.max(np.abs(dx[:, :n]), axis=1)
-            over = v_step > MAX_STEP
-            if np.any(over):
-                dx[over] *= (MAX_STEP / v_step[over])[:, None]
-        x[active] += dx
-        node_residual = (
-            np.max(np.abs(f[:, :n]), axis=1) if n else zero_residual[:m]
-        )
-        done = (node_residual < abstol) & (np.max(np.abs(dx), axis=1) < reltol)
-        if np.any(done):
-            newly = active[done]
-            solutions[newly] = x[newly]
-            iterations[newly] = iteration
-            converged[newly] = True
-            active = active[~done]
-            if active.size == 0:
-                break
-            active_stamps = stamps.take(active)
-            active_caps = [(i1, i2, c[active]) for i1, i2, c in caps]
-    return solutions, iterations, converged
+def _branch_voltages(system: _MNASystem, x: np.ndarray) -> np.ndarray:
+    """``v(i1) - v(i2)`` of every companion element, ``(candidates, elements)``."""
+    c1, c2 = system.cap_nodes
+    xe = _with_ground(x)
+    return xe[:, c1] - xe[:, c2]
 
 
 def _tran_batch(  # checks: hot-path
@@ -519,12 +281,9 @@ def _tran_batch(  # checks: hot-path
     max_newton_iterations: int,
 ) -> list:
     """Integrate one structure-sharing group; see :func:`run_tran_many`."""
-    system = _MNASystem(stepped[0])
+    system = _system(*_tran_structure_key(stepped[0]))
     stamps = _BatchStamps(stepped)
-    caps = _cap_elements_batch(system, solutions)
-    # One symbolic solve pattern for the whole group: structure is shared
-    # across candidates, time steps and Newton iterations alike.
-    pattern = _structure_pattern(system, [(i1, i2) for i1, i2, _ in caps])
+    caps = _capacitances(solutions)
     batch = len(solutions)
     n_steps = len(times) - 1
     x = np.stack(
@@ -535,51 +294,45 @@ def _tran_batch(  # checks: hot-path
     )
     waveforms = np.empty((batch, n_steps + 1, system.n_nodes))
     waveforms[:, 0, :] = x[:, : system.n_nodes]
-    hist = np.zeros((batch, len(caps)))
+    # Starting from DC steady state, every capacitor current is zero.
+    hist = np.zeros((batch, system.n_caps))
     newton_totals = np.zeros(batch, dtype=int)
     alive = np.ones(batch, dtype=bool)
-    # Hoisted out of the time-step loop: the stamp/cap subsets change
-    # only when a candidate diverges, and the Newton work buffers are
-    # shared across every step (zero-filled per iteration inside the
-    # solver, so reuse is bit-identical to fresh allocation).
-    active = np.nonzero(alive)[0]
+    # Hoisted out of the time-step loop: the stamp subset changes only
+    # when a candidate diverges, and the Newton work buffers are shared
+    # across every step (the assembly overwrites them).
+    active = np.arange(batch)
     active_stamps = stamps
-    active_caps = caps
-    f_buf = np.zeros((batch, system.size))
-    jac_buf = np.zeros((batch, system.size, system.size))
+    work = (np.empty((batch, system.size)), np.empty((batch, system.size, system.size)))
 
     for step in range(1, n_steps + 1):
         if active.size == 0:
             break
         coef = _step_coef(method, dt, step)
-        x_new, iterations, converged = _tran_newton_batch(
+        x_prev, hist_prev = x[active], hist[active]
+        g = coef * caps[active]
+        x_new, iterations, converged = _newton_batch(
             system,
             active_stamps,
-            active_caps,
-            x[active],
-            hist[active],
-            coef,
+            x_prev,
+            1.0,
+            GMIN,
             max_newton_iterations,
-            work=(f_buf, jac_buf),
-            pattern=pattern,
+            companion=(x_prev, hist_prev, g),
+            work=work,
         )
         newton_totals[active] += iterations
-        diverged = active[~converged]
         survivors = active[converged]
         if method == "trap":
-            for e, (i1, i2, c) in enumerate(caps):
-                dv_new = _dv(x_new, i1, i2)
-                dv_old = _dv(x[active], i1, i2)
-                updated = coef * c[active] * (dv_new - dv_old) - hist[active, e]
-                hist[survivors, e] = updated[converged]
+            dv = _branch_voltages(system, x_new) - _branch_voltages(system, x_prev)
+            hist[survivors] = (g * dv - hist_prev)[converged]
         x[survivors] = x_new[converged]
         waveforms[survivors, step, :] = x_new[converged][:, : system.n_nodes]
-        if diverged.size:
-            alive[diverged] = False
+        if survivors.size < active.size:
+            alive[active[~converged]] = False
             active = survivors
             if active.size:
                 active_stamps = stamps.take(active)
-                active_caps = [(i1, i2, c[active]) for i1, i2, c in caps]
 
     outcomes: list = []
     for j in range(batch):

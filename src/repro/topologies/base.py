@@ -33,11 +33,8 @@ from ..spice import (
     TranResult,
     extract_metrics,
     extract_tran_metrics,
-    run_ac,
     run_ac_many,
-    run_tran,
     run_tran_many,
-    solve_dc,
     solve_dc_many,
 )
 
@@ -432,43 +429,57 @@ class OTATopology(ABC):
     ) -> MeasurementResult:
         """Build, solve DC, run AC and extract the paper's three metrics.
 
-        ``corner`` selects the PVT evaluation context (preset name,
-        :class:`~repro.devices.Corner` or override mapping); the default
-        nominal corner is bit-identical to the pre-corner flow.
+        A batch of one through the :meth:`measure_many` kernel that raises
+        instead of isolating: :class:`~repro.spice.ConvergenceError` when
+        the DC (or transient) solve fails, ``KeyError``/``ValueError``
+        when the width vector cannot be built.
 
-        ``analyses`` selects the measurement pipeline (see
-        :func:`resolve_analyses`): the default ``("dc", "ac")`` is
-        bit-identical to the pre-transient flow; adding ``"tran"``
-        additionally integrates the step-response testbench
-        (:func:`repro.spice.run_tran` with this topology's ``tran_*``
-        knobs) and fills the transient metric fields.
+        ``corner`` selects the PVT evaluation context (preset name,
+        :class:`~repro.devices.Corner` or override mapping; default
+        nominal).  ``analyses`` selects the measurement pipeline (see
+        :func:`resolve_analyses`): the default ``("dc", "ac")``, or with
+        ``"tran"`` additionally the step-response testbench
+        (:func:`repro.spice.run_tran_many` with this topology's ``tran_*``
+        knobs) filling the transient metric fields.
         """
         resolved_analyses = resolve_analyses(analyses)
         circuit = self.build_circuit(widths, vcm=vcm, corner=corner)
-        dc = solve_dc(circuit, initial_guess=self.initial_guess_for(corner))
-        ac = run_ac(dc, frequencies=frequencies)
-        tran = self._run_tran(dc) if "tran" in resolved_analyses else None
-        return self._package_measurement(circuit, dc, ac, tran=tran)
-
-    def _run_tran(self, dc: DCSolution) -> TranResult:
-        """One candidate's step-response integration (the scalar leg)."""
-        return run_tran(
-            dc,
-            t_stop=self.tran_t_stop,
-            n_steps=self.tran_steps,
-            method=self.tran_method,
-            step_amplitude=self.tran_step_v,
+        (result,) = self._measure_circuits(
+            [circuit], [self.initial_guess_for(corner)], frequencies, resolved_analyses
         )
+        if isinstance(result, ConvergenceError):
+            raise result
+        return result
 
-    def _run_tran_many(self, solutions: list) -> list:
-        """Bulk step-response integration; aligned TranResult/error slots."""
-        return run_tran_many(
-            solutions,
-            t_stop=self.tran_t_stop,
-            n_steps=self.tran_steps,
-            method=self.tran_method,
-            step_amplitude=self.tran_step_v,
-        )
+    def _measure_circuits(
+        self,
+        circuits: list[Circuit],
+        guesses: list,
+        frequencies: np.ndarray | None,
+        analyses: tuple[str, ...],
+    ) -> list:
+        """Bulk DC/AC(/transient) of built circuits; aligned
+        :class:`MeasurementResult` or :class:`ConvergenceError` slots."""
+        results: list = solve_dc_many(circuits, initial_guess=guesses)
+        solved = [i for i, dc in enumerate(results) if not isinstance(dc, ConvergenceError)]
+        dcs = [results[i] for i in solved]
+        acs = run_ac_many(dcs, frequencies=frequencies)
+        if "tran" in analyses:
+            trans = run_tran_many(
+                dcs,
+                t_stop=self.tran_t_stop,
+                n_steps=self.tran_steps,
+                method=self.tran_method,
+                step_amplitude=self.tran_step_v,
+            )
+        else:
+            trans = [None] * len(dcs)
+        for i, dc, ac, tran in zip(solved, dcs, acs, trans, strict=True):
+            results[i] = (
+                tran if isinstance(tran, ConvergenceError)
+                else self._package_measurement(circuits[i], dc, ac, tran=tran)
+            )
+        return results
 
     def _package_measurement(
         self, circuit: Circuit, dc: DCSolution, ac, tran: TranResult | None = None
@@ -504,24 +515,23 @@ class OTATopology(ABC):
     ) -> list:
         """Measure a whole population of width vectors in one bulk pass.
 
-        The batched counterpart of :meth:`measure`: the per-candidate DC
-        Newton solves share one vectorized assembly
+        The per-candidate DC Newton solves share one vectorized assembly
         (:func:`repro.spice.solve_dc_many`), the small-signal AC solves
         collapse into one stacked complex MNA factorization over
         population x frequency grid (:func:`repro.spice.run_ac_many`),
         and -- with ``"tran"`` in ``analyses`` -- the step-response
         integrations share one candidate-vectorized Newton per time step
-        (:func:`repro.spice.run_tran_many`).  Metrics are bit-identical
-        to calling :meth:`measure` per candidate.
+        (:func:`repro.spice.run_tran_many`).  Each candidate's metrics are
+        those :meth:`measure` reports for it alone.
 
         ``corner`` evaluates the whole population at one PVT corner
-        (default nominal, bit-identical to the pre-corner path) and returns
-        a flat ``list[MeasureOutcome]``.  ``corners`` adds a corner *axis*:
-        every candidate is evaluated at every corner, the
-        population x corner pairs stack into the same batched DC/AC solves
-        (one Newton batch and one complex factorization per circuit
-        structure), and the return value is a ``list[CornerSweep]`` aligned
-        with ``widths_list``.
+        (default nominal) and returns a flat ``list[MeasureOutcome]``.
+        ``corners`` adds a corner *axis*: every candidate is evaluated at
+        every corner, the population x corner pairs stack into the same
+        batched DC/AC solves (the DC structure key is corner-agnostic, so
+        the whole block factorizes together instead of once per corner),
+        and the return value is a ``list[CornerSweep]`` aligned with
+        ``widths_list``.
 
         Failures are isolated per candidate (per candidate-corner pair on
         the corner axis): a design whose DC solve does not converge,
@@ -531,108 +541,62 @@ class OTATopology(ABC):
         evaluation.
         """
         resolved_analyses = resolve_analyses(analyses)
-        if corners is not None:
-            if corner is not None:
-                raise ValueError("pass either corner= or corners=, not both")
-            resolved_corners = resolve_corners(corners)
-            if not resolved_corners:
-                raise ValueError("corners must be non-empty (use corner=None for nominal)")
-            return self._measure_corner_sweeps(
-                widths_list,
-                resolved_corners,
-                vcm=vcm,
-                frequencies=frequencies,
-                analyses=resolved_analyses,
+        if corners is None:
+            guess = self.initial_guess_for(corner)
+            return self._measure_plans(
+                [(widths, corner, guess) for widths in widths_list],
+                vcm, frequencies, resolved_analyses,
             )
+        if corner is not None:
+            raise ValueError("pass either corner= or corners=, not both")
+        resolved_corners = resolve_corners(corners)
+        if not resolved_corners:
+            raise ValueError("corners must be non-empty (use corner=None for nominal)")
+        guesses = [self.initial_guess_for(c) for c in resolved_corners]
+        outcomes = self._measure_plans(
+            [
+                (widths, c, guess)
+                for widths in widths_list
+                for c, guess in zip(resolved_corners, guesses, strict=True)
+            ],
+            vcm, frequencies, resolved_analyses,
+        )
+        width = len(resolved_corners)
+        return [
+            CornerSweep(
+                widths=dict(widths),
+                corners=resolved_corners,
+                outcomes=tuple(outcomes[i * width : (i + 1) * width]),
+            )
+            for i, widths in enumerate(widths_list)
+        ]
 
-        outcomes = [MeasureOutcome(widths=dict(widths)) for widths in widths_list]
-        buildable: list[int] = []
+    def _measure_plans(
+        self,
+        plans: list,
+        vcm: float | None,
+        frequencies: np.ndarray | None,
+        analyses: tuple[str, ...],
+    ) -> list[MeasureOutcome]:
+        """One aligned outcome per ``(widths, corner, initial guess)`` plan."""
+        outcomes = [MeasureOutcome(widths=dict(widths)) for widths, _, _ in plans]
+        built: list[int] = []
         circuits: list[Circuit] = []
-        for index, widths in enumerate(widths_list):
+        for index, (widths, corner, _) in enumerate(plans):
             try:
                 circuits.append(self.build_circuit(widths, vcm=vcm, corner=corner))
             except (KeyError, ValueError) as error:
                 outcomes[index].error = str(error)
                 continue
-            buildable.append(index)
-
-        solutions = solve_dc_many(circuits, initial_guess=self.initial_guess_for(corner))
-        solved: list[tuple[int, Circuit, DCSolution]] = []
-        for index, circuit, solution in zip(buildable, circuits, solutions, strict=True):
-            if isinstance(solution, ConvergenceError):
-                outcomes[index].error = str(solution)
+            built.append(index)
+        guesses = [plans[index][2] for index in built]
+        results = self._measure_circuits(circuits, guesses, frequencies, analyses)
+        for index, result in zip(built, results, strict=True):
+            if isinstance(result, ConvergenceError):
+                outcomes[index].error = str(result)
             else:
-                solved.append((index, circuit, solution))
-
-        ac_results = run_ac_many([dc for _, _, dc in solved], frequencies=frequencies)
-        trans = self._tran_slots([dc for _, _, dc in solved], resolved_analyses)
-        for (index, circuit, dc), ac, tran in zip(solved, ac_results, trans, strict=True):
-            if isinstance(tran, ConvergenceError):
-                outcomes[index].error = str(tran)
-            else:
-                outcomes[index].result = self._package_measurement(circuit, dc, ac, tran=tran)
+                outcomes[index].result = result
         return outcomes
-
-    def _tran_slots(self, solutions: list, analyses: tuple[str, ...]) -> list:
-        """Per-candidate transient slots: ``TranResult``/error entries when
-        the transient analysis is selected, ``None`` placeholders else."""
-        if "tran" not in analyses:
-            return [None] * len(solutions)
-        return self._run_tran_many(solutions)
-
-    def _measure_corner_sweeps(
-        self,
-        widths_list: list,
-        corners: tuple[Corner, ...],
-        vcm: float | None,
-        frequencies: np.ndarray | None,
-        analyses: tuple[str, ...] = DEFAULT_ANALYSES,
-    ) -> list[CornerSweep]:
-        """Bulk-evaluate population x corners; see :meth:`measure_many`.
-
-        All candidate-corner pairs are built up front and handed to *one*
-        ``solve_dc_many`` / ``run_ac_many`` (/ ``run_tran_many``) pass:
-        the DC structure key is corner-agnostic, so the whole block
-        factorizes together instead of once per corner (``bench_table8``'s
-        corner-throughput mode pins the resulting >=2x over per-corner
-        sequential evaluation); the corner-skewed technology parameters of
-        a transient batch ride the same ``_ArrayTech`` path.
-        """
-        rows = [[MeasureOutcome(widths=dict(widths)) for _ in corners] for widths in widths_list]
-        corner_guesses = [self.initial_guess_for(corner) for corner in corners]
-        pair_slots: list[tuple[int, int]] = []
-        circuits: list[Circuit] = []
-        guesses: list[dict[str, float]] = []
-        for i, widths in enumerate(widths_list):
-            for j, corner in enumerate(corners):
-                try:
-                    circuit = self.build_circuit(widths, vcm=vcm, corner=corner)
-                except (KeyError, ValueError) as error:
-                    rows[i][j].error = str(error)
-                    continue
-                pair_slots.append((i, j))
-                circuits.append(circuit)
-                guesses.append(corner_guesses[j])
-
-        solutions = solve_dc_many(circuits, initial_guess=guesses)
-        solved: list[tuple[int, int, Circuit, DCSolution]] = []
-        for (i, j), circuit, solution in zip(pair_slots, circuits, solutions, strict=True):
-            if isinstance(solution, ConvergenceError):
-                rows[i][j].error = str(solution)
-            else:
-                solved.append((i, j, circuit, solution))
-
-        ac_results = run_ac_many([dc for _, _, _, dc in solved], frequencies=frequencies)
-        trans = self._tran_slots([dc for _, _, _, dc in solved], analyses)
-        for (i, j, circuit, dc), ac, tran in zip(solved, ac_results, trans, strict=True):
-            if isinstance(tran, ConvergenceError):
-                rows[i][j].error = str(tran)
-            else:
-                rows[i][j].result = self._package_measurement(circuit, dc, ac, tran=tran)
-        return [
-            CornerSweep(widths=dict(widths), corners=corners, outcomes=tuple(row))
-            for widths, row in zip(widths_list, rows, strict=True)
-        ]
 
     def regions_ok(self, dc: DCSolution) -> bool:
         """Check the paper's region-of-operation constraints (Sec. IV-A)."""

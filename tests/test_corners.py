@@ -39,7 +39,7 @@ from repro.devices import (
 )
 from repro.service import SizingEngine, SizingRequest, SizingResponse
 from repro.service.cache import ResultCache, quantize_spec
-from repro.solvers import BatchedBackend, ScalarBackend, SearchObjective
+from repro.solvers import BatchedBackend, SearchObjective
 from repro.spice import ConvergenceError, PerformanceMetrics, parse_netlist, to_spice
 from repro.spice.dc import _structure_key
 from repro.topologies import (
@@ -49,6 +49,7 @@ from repro.topologies import (
     build_active_inductor,
 )
 
+from tests import mna_oracle as oracle
 from tests.conftest import (
     GOOD_WIDTHS,
     PoisonedFiveT,
@@ -248,7 +249,7 @@ class TestCornerMeasurement:
 
     def test_measure_many_single_corner_flat(self, five_t):
         outcomes = five_t.measure_many([GOOD_WIDTHS["5T-OTA"]], corner="ss")
-        reference = five_t.measure(GOOD_WIDTHS["5T-OTA"], corner="ss")
+        reference = oracle.measure(five_t, GOOD_WIDTHS["5T-OTA"], corner="ss")
         assert isinstance(outcomes[0], MeasureOutcome)
         assert np.array_equal(
             outcomes[0].result.metrics.as_array(), reference.metrics.as_array()
@@ -280,7 +281,7 @@ class TestSupplyUnification:
 class TestCornerBackendParity:
     def test_batched_bit_identical_to_scalar(self, five_t):
         population = make_population(five_t, 4)
-        scalar = ScalarBackend().measure_many(five_t, population, corners=ALL_CORNERS)
+        scalar = oracle.OracleBackend().measure_many(five_t, population, corners=ALL_CORNERS)
         batched = BatchedBackend().measure_many(five_t, population, corners=ALL_CORNERS)
         assert all(isinstance(sweep, CornerSweep) for sweep in batched)
         for reference, sweep in zip(scalar, batched, strict=True):
@@ -300,7 +301,7 @@ class TestCornerBackendParity:
         with pytest.raises(ConvergenceError):
             topology.measure(poisoned, corner="ss")
 
-        scalar = ScalarBackend().measure_many(topology, batch, corners=ALL_CORNERS)
+        scalar = oracle.OracleBackend().measure_many(topology, batch, corners=ALL_CORNERS)
         batched = BatchedBackend().measure_many(topology, batch, corners=ALL_CORNERS)
         for sweeps in (scalar, batched):
             sweep = sweeps[1]
@@ -323,13 +324,13 @@ class TestCornerBackendParity:
     def test_backends_agree_on_empty_corner_axis(self, five_t):
         """Both backends reject corners=() identically (a vacuous sweep
         would read as all-corners-pass for an unmeasured design)."""
-        for backend in (ScalarBackend(), BatchedBackend()):
+        for backend in (oracle.OracleBackend(), BatchedBackend()):
             with pytest.raises(ValueError, match="non-empty"):
                 backend.measure_many(five_t, [GOOD_WIDTHS["5T-OTA"]], corners=())
 
     def test_backend_measure_single_corner(self, five_t):
         outcome = BatchedBackend().measure(five_t, GOOD_WIDTHS["5T-OTA"], corner="ff")
-        reference = five_t.measure(GOOD_WIDTHS["5T-OTA"], corner="ff")
+        reference = oracle.measure(five_t, GOOD_WIDTHS["5T-OTA"], corner="ff")
         assert np.array_equal(
             outcome.result.metrics.as_array(), reference.metrics.as_array()
         )

@@ -6,7 +6,7 @@ import pytest
 from repro.devices import NMOS_65NM
 from repro.dpsfg import MasonEvaluator, build_dpsfg
 from repro.spice import Circuit, ConvergenceError, solve_dc
-from repro.spice.dc import _MNASystem
+from repro.spice.dc import _structure_key, _system
 
 
 class TestDCSolverFailurePaths:
@@ -33,7 +33,7 @@ class TestDCSolverFailurePaths:
 
     def test_mna_pack_unpack_roundtrip(self, five_t):
         circuit = five_t.build({"M1": 1.2e-6, "M3": 15e-6, "M5": 4e-6})
-        system = _MNASystem(circuit)
+        system = _system(_structure_key(circuit))
         voltages = {name: float(i) / 10 for i, name in enumerate(circuit.nodes())}
         currents = {src.name: 1e-6 * i for i, src in enumerate(circuit.vsources)}
         packed = system.pack(voltages, currents)

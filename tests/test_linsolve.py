@@ -24,7 +24,6 @@ from repro.spice import (
     backend_mode,
     factorize_structure,
     pattern_from_matrices,
-    solve_dc,
     solve_dc_many,
     solve_stacked,
     use_backend,
@@ -33,6 +32,7 @@ from repro.spice.linsolve import HAVE_SPARSE
 from repro.topologies import available_topologies, topology_by_name
 
 from tests.conftest import GOOD_WIDTHS
+from tests.mna_oracle import solve_dc as oracle_solve_dc
 
 requires_sparse = pytest.mark.skipif(
     not HAVE_SPARSE, reason="scipy not installed; sparse backend degrades to dense"
@@ -46,6 +46,9 @@ SOLVE_RTOL = 1e-12
 #: Pinned sparse-vs-dense agreement on end-to-end measured metrics
 #: (Newton iteration and metric extraction amplify the solver-level ulps).
 METRIC_RTOL = 1e-6
+
+#: Absolute agreement floor on the transient overshoot fraction.
+OVERSHOOT_ATOL = 1e-12
 
 
 def _well_conditioned(shape, size, rng, complex_=False):
@@ -324,9 +327,14 @@ class TestTopologyParity:
             rtol=METRIC_RTOL,
         )
         np.testing.assert_allclose(
-            result.metrics.tran_as_array(),
-            reference.metrics.tran_as_array(),
+            result.metrics.tran_as_array()[:2],
+            reference.metrics.tran_as_array()[:2],
             rtol=METRIC_RTOL,
+        )
+        # An overshoot fraction near 1e-9 is integration round-off, so it
+        # gets an absolute floor on top of the relative pin.
+        assert result.metrics.overshoot_frac == pytest.approx(
+            reference.metrics.overshoot_frac, rel=METRIC_RTOL, abs=OVERSHOOT_ATOL
         )
 
     def test_default_mode_unchanged_bits(self):
@@ -349,7 +357,7 @@ class TestMixedSizeBatches:
     def test_solve_dc_many_groups_by_structure(self):
         """One bulk call over circuits of three different MNA sizes (plus
         a structure-sharing duplicate) must solve each against its own
-        pattern -- parity with the scalar path per circuit."""
+        pattern -- parity with the oracle per circuit."""
         five_t = topology_by_name("5T-OTA")
         fc = topology_by_name("FC-OTA")
         tele = topology_by_name("TELE-OTA")
@@ -364,7 +372,7 @@ class TestMixedSizeBatches:
         guesses = [topo.initial_guess() for topo, _ in plans]
 
         references = [
-            solve_dc(topo.build(w), initial_guess=topo.initial_guess())
+            oracle_solve_dc(topo.build(w), initial_guess=topo.initial_guess())
             for topo, w in plans
         ]
         with use_backend("sparse"):
@@ -381,14 +389,14 @@ class TestMixedSizeBatches:
     def test_auto_mode_bulk_path_bit_identical(self):
         """Same mixed batch under the default auto mode: every circuit is
         below the sparse threshold, so the bulk path stays bit-identical
-        to the scalar dense solves."""
+        to the oracle's dense solves."""
         five_t = topology_by_name("5T-OTA")
         fc = topology_by_name("FC-OTA")
         plans = [(five_t, GOOD_WIDTHS["5T-OTA"]), (fc, GOOD_WIDTHS["FC-OTA"])]
         circuits = [topo.build(w) for topo, w in plans]
         guesses = [topo.initial_guess() for topo, _ in plans]
         references = [
-            solve_dc(topo.build(w), initial_guess=topo.initial_guess())
+            oracle_solve_dc(topo.build(w), initial_guess=topo.initial_guess())
             for topo, w in plans
         ]
         solutions = solve_dc_many(circuits, initial_guess=guesses)

@@ -19,7 +19,7 @@ from repro.core.bundle import SizingModel
 from repro.datagen import SequenceBuilder, SequenceConfig
 from repro.service import ResultCache, SizingEngine, SizingRequest, SizingResponse
 from repro.service.cache import quantize_spec
-from repro.solvers import BatchedBackend, ScalarBackend
+from repro.solvers import BatchedBackend
 from repro.spice import PerformanceMetrics
 from repro.topologies import (
     FiveTransistorOTA,
@@ -29,6 +29,7 @@ from repro.topologies import (
     unregister,
 )
 
+from tests import mna_oracle as oracle
 from tests.conftest import (
     BatchedOracleModel,
     CountingBackend,
@@ -631,7 +632,7 @@ class TestBatchedStageIVParity:
     def _engines(self, oracle_setup, topology=None):
         setup_topology, records, luts = oracle_setup
         engines = []
-        for backend in (ScalarBackend(), BatchedBackend()):
+        for backend in (oracle.OracleBackend(), BatchedBackend()):
             model = BatchedOracleModel(setup_topology, records, luts)
             engine = SizingEngine(model, cache_size=0, backend=backend)
             engine.adopt_topology(topology if topology is not None else setup_topology)
@@ -732,7 +733,7 @@ class TestBatchedStageIVParity:
             return eng
 
         counting = CountingBackend()
-        sequential = engine(ScalarBackend()).size_batch(requests)
+        sequential = engine(oracle.OracleBackend()).size_batch(requests)
         batched = engine(counting).size_batch(requests)
         assert_responses_identical(sequential, batched)
         # Round 1: one bulk verification per topology, spanning all of its

@@ -22,7 +22,6 @@ from repro.solvers import (
     PENALTY,
     BatchedBackend,
     EvalBackend,
-    ScalarBackend,
     SearchObjective,
     SearchSolver,
     SolveResult,
@@ -30,6 +29,7 @@ from repro.solvers import (
 from repro.spice import ConvergenceError
 from repro.topologies import FiveTransistorOTA
 
+from tests import mna_oracle as oracle
 from tests.conftest import (
     GOOD_WIDTHS,
     PoisonedFiveT,
@@ -114,7 +114,7 @@ class TestMeasureManyParity:
 
     def test_bit_identical_to_sequential(self, five_t_module):
         population = make_population(five_t_module, 8)
-        sequential = [five_t_module.measure(w) for w in population]
+        sequential = [oracle.measure(five_t_module, w) for w in population]
         outcomes = five_t_module.measure_many(population)
         assert len(outcomes) == len(population)
         for ref, outcome in zip(sequential, outcomes, strict=True):
@@ -134,7 +134,7 @@ class TestMeasureManyParity:
         assert not outcomes[1].ok  # ...the bulk path isolates the failure
         assert outcomes[1].error is not None
         for index in (0, 2, 3):
-            self._assert_identical(topology.measure(batch[index]), outcomes[index])
+            self._assert_identical(oracle.measure(topology, batch[index]), outcomes[index])
 
     def test_unbuildable_candidate_is_isolated(self, five_t_module):
         population = make_population(five_t_module, 2)
@@ -142,14 +142,14 @@ class TestMeasureManyParity:
         bad.pop("M5")  # missing group -> build-time KeyError
         outcomes = five_t_module.measure_many([bad, population[1]])
         assert not outcomes[0].ok and "M5" in outcomes[0].error
-        self._assert_identical(five_t_module.measure(population[1]), outcomes[1])
+        self._assert_identical(oracle.measure(five_t_module, population[1]), outcomes[1])
 
     def test_empty_population(self, five_t_module):
         assert five_t_module.measure_many([]) == []
 
     def test_backends_agree(self, five_t_module):
         population = make_population(five_t_module, 3, seed=2)
-        scalar = ScalarBackend().measure_many(five_t_module, population)
+        scalar = oracle.OracleBackend().measure_many(five_t_module, population)
         batched = BatchedBackend().measure_many(five_t_module, population)
         for s, b in zip(scalar, batched, strict=True):
             assert s.ok and b.ok
@@ -280,7 +280,7 @@ class TestSearchSolvers:
         assert result.spice_calls <= 30
 
     def test_scalar_backend_supported(self, name, five_t_module, easy_spec):
-        solver = solvers.create(name, five_t_module, backend=ScalarBackend())
+        solver = solvers.create(name, five_t_module, backend=oracle.OracleBackend())
         result = solver.solve(easy_spec, budget=60, rng=np.random.default_rng(5))
         assert result.spice_calls <= 60
 

@@ -1,11 +1,17 @@
 """Tests of the nonlinear DC operating-point solver."""
 
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices import NMOS_65NM, PMOS_65NM
-from repro.spice import Circuit, solve_dc, solve_dc_many
+from repro.spice import Circuit, ConvergenceError, solve_dc, solve_dc_many, use_backend
+from repro.spice.linsolve import HAVE_SPARSE
+
+from tests import mna_oracle as oracle
+from tests.conftest import GOOD_WIDTHS
 
 L = 180e-9
 
@@ -93,6 +99,11 @@ class TestNonlinearCircuits:
         sol_b = solve_dc(circuit, initial_guess={n: 0.9 for n in circuit.nodes()})
         for node in circuit.nodes():
             assert sol_a.voltage(node) == pytest.approx(sol_b.voltage(node), abs=1e-6)
+        # Any Mapping is one shared guess, not a per-circuit sequence.
+        (sol_c,) = solve_dc_many(
+            [circuit], initial_guess=MappingProxyType(five_t.initial_guess())
+        )
+        assert sol_c.node_voltages == sol_a.node_voltages
 
     def test_operating_points_recorded_for_all_devices(self, five_t_measurement):
         ops = five_t_measurement.dc.operating_points
@@ -142,11 +153,12 @@ class TestSolveDCMany:
         widths = [1e-6, 2e-6, 5e-6, 12e-6, 30e-6]
         batched = solve_dc_many([self._cs_stage(w) for w in widths])
         for width, solution in zip(widths, batched, strict=True):
-            reference = solve_dc(self._cs_stage(width))
+            reference = oracle.solve_dc(self._cs_stage(width))
             assert solution.node_voltages == reference.node_voltages
             assert solution.source_currents == reference.source_currents
             assert solution.iterations == reference.iterations
             assert solution.strategy == reference.strategy
+            assert solution.operating_points == reference.operating_points
 
     def test_mosfet_free_batch(self):
         """A structure group with no MOSFETs (nothing to vectorize) still
@@ -161,5 +173,51 @@ class TestSolveDCMany:
         mixed = [self._cs_stage(2e-6), resistor_divider(), self._cs_stage(5e-6)]
         solutions = solve_dc_many(mixed)
         assert solutions[1].voltage("mid") == pytest.approx(1.2 * 3.0 / 4.0, rel=1e-9)
-        assert solutions[0].node_voltages == solve_dc(self._cs_stage(2e-6)).node_voltages
-        assert solutions[2].node_voltages == solve_dc(self._cs_stage(5e-6)).node_voltages
+        assert solutions[0].node_voltages == oracle.solve_dc(self._cs_stage(2e-6)).node_voltages
+        assert solutions[2].node_voltages == oracle.solve_dc(self._cs_stage(5e-6)).node_voltages
+
+
+class TestBatchedContinuation:
+    """The fallback strategies run batched over the candidates plain Newton
+    left behind.  A 5T-OTA capped at 10 Newton iterations per stage is
+    steered into each strategy: the default start converges plainly, all
+    nodes started at 1 V need gmin stepping, at 3 V source stepping, and a
+    20 V supply defeats every strategy."""
+
+    MAX_ITERATIONS = 10
+
+    @pytest.mark.parametrize(
+        "mode",
+        ["dense", pytest.param("sparse", marks=pytest.mark.skipif(
+            not HAVE_SPARSE, reason="scipy not installed"))],
+    )
+    def test_each_strategy_bit_identical_to_oracle(self, five_t, mode):
+        expected = ["newton", "gmin-stepping", "source-stepping", None]
+        circuits = [five_t.build(GOOD_WIDTHS["5T-OTA"]) for _ in expected]
+        circuits[3].vsource("VDD").dc = 20.0
+        nodes = circuits[0].nodes()
+        guesses = [
+            five_t.initial_guess(),
+            {node: 1.0 for node in nodes},
+            {node: 3.0 for node in nodes},
+            five_t.initial_guess(),
+        ]
+        with use_backend(mode):
+            batched = solve_dc_many(
+                circuits, initial_guess=guesses, max_iterations=self.MAX_ITERATIONS
+            )
+            for circuit, guess, strategy, solution in zip(
+                circuits, guesses, expected, batched, strict=True
+            ):
+                if strategy is None:
+                    assert isinstance(solution, ConvergenceError)
+                    with pytest.raises(ConvergenceError, match="all strategies"):
+                        oracle.solve_dc(circuit, guess, self.MAX_ITERATIONS)
+                    continue
+                reference = oracle.solve_dc(circuit, guess, self.MAX_ITERATIONS)
+                assert reference.strategy == solution.strategy == strategy
+                assert solution.node_voltages == reference.node_voltages
+                assert solution.source_currents == reference.source_currents
+                assert solution.iterations == reference.iterations
+                assert solution.operating_points == reference.operating_points
+                assert solution.kcl_residual() < 1e-9

@@ -4,8 +4,9 @@ Layer by layer, the contract of the transient extension:
 
 * the integrator is *correct* (analytic RC reference, trap/BE agreement,
   monotone error-vs-timestep convergence -- hypothesis property tests);
-* the batched ``run_tran_many`` is **bit-identical** to the sequential
-  ``run_tran`` loop, with per-candidate failure isolation;
+* the batched ``run_tran_many`` is **bit-identical** to the scalar
+  per-step Newton oracle (``tests/mna_oracle.py``), with per-candidate
+  failure isolation;
 * golden traces pin every topology's known-good step response, so future
   solver/stamp refactors diff against known-good waveforms;
 * specs/requests/cache/engine/CLI carry the transient targets, while the
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import DesignSpec, tighten_spec
 from repro.service import ResultCache, SizingEngine, SizingRequest, SizingResponse
-from repro.solvers import BatchedBackend, ScalarBackend, SearchObjective
+from repro.solvers import BatchedBackend, SearchObjective
 from repro.spice import (
     Circuit,
     ConvergenceError,
@@ -41,6 +42,7 @@ from repro.topologies import (
     topology_by_name,
 )
 
+from tests import mna_oracle as oracle
 from tests.conftest import (
     GOOD_WIDTHS,
     PoisonedFiveT,
@@ -175,7 +177,7 @@ class TestIntegratorProperties:
     )
     def test_batched_bit_identical_to_sequential_loop(self, five_t, points):
         """``run_tran_many`` over a random candidate population returns
-        waveforms bit-identical to the per-candidate ``run_tran`` loop."""
+        waveforms bit-identical to the per-candidate oracle loop."""
         from repro.solvers import SearchSpace
 
         space = SearchSpace(five_t)
@@ -184,7 +186,7 @@ class TestIntegratorProperties:
         for widths in population:
             try:
                 solutions.append(
-                    solve_dc(five_t.build(widths), initial_guess=five_t.initial_guess())
+                    oracle.solve_dc(five_t.build(widths), initial_guess=five_t.initial_guess())
                 )
             except ConvergenceError:
                 continue
@@ -192,7 +194,7 @@ class TestIntegratorProperties:
             return
         batched = run_tran_many(solutions, t_stop=50e-9, n_steps=20)
         for solution, outcome in zip(solutions, batched, strict=True):
-            reference = run_tran(solution, t_stop=50e-9, n_steps=20)
+            reference = oracle.run_tran(solution, t_stop=50e-9, n_steps=20)
             assert np.array_equal(reference.waveforms, outcome.waveforms)
             assert reference.newton_iterations == outcome.newton_iterations
             assert np.array_equal(reference.times, outcome.times)
@@ -203,7 +205,7 @@ class TestTranBatchGrouping:
         """The DC structure key is capacitor-blind (capacitors are open at
         DC); the transient grouping must not be -- a batch mixing circuits
         that differ only in capacitor count/connectivity must still return
-        waveforms bit-identical to the sequential loop, in both orders."""
+        waveforms bit-identical to the oracle, in both orders."""
         plain = _rc_circuit(1e3, 1e-9)
         extra = _rc_circuit(1e3, 1e-9)
         extra.add_capacitor("C2", "in", "out", 2e-10)
@@ -211,7 +213,7 @@ class TestTranBatchGrouping:
         for ordered in (solutions, solutions[::-1]):
             batched = run_tran_many(ordered, t_stop=5e-6, n_steps=50)
             for solution, outcome in zip(ordered, batched, strict=True):
-                reference = run_tran(solution, t_stop=5e-6, n_steps=50)
+                reference = oracle.run_tran(solution, t_stop=5e-6, n_steps=50)
                 assert np.array_equal(reference.waveforms, outcome.waveforms)
 
 
@@ -221,7 +223,7 @@ class TestTranBatchGrouping:
 class TestTranMeasureParity:
     def test_measure_many_bit_identical_with_tran(self, five_t):
         population = make_population(five_t, 6, seed=3)
-        sequential = [five_t.measure(w, analyses=TRAN) for w in population]
+        sequential = [oracle.measure(five_t, w, analyses=TRAN) for w in population]
         outcomes = five_t.measure_many(population, analyses=TRAN)
         for reference, outcome in zip(sequential, outcomes, strict=True):
             assert outcome.ok
@@ -230,7 +232,7 @@ class TestTranMeasureParity:
 
     def test_backends_agree_with_tran(self, five_t):
         population = make_population(five_t, 3, seed=7)
-        scalar = ScalarBackend().measure_many(five_t, population, analyses=TRAN)
+        scalar = oracle.OracleBackend().measure_many(five_t, population, analyses=TRAN)
         batched = BatchedBackend().measure_many(five_t, population, analyses=TRAN)
         for s, b in zip(scalar, batched, strict=True):
             assert s.ok and b.ok
@@ -252,7 +254,7 @@ class TestTranMeasureParity:
     def test_corner_sweeps_with_tran_bit_identical(self, five_t):
         population = make_population(five_t, 2, seed=9)
         corners = ("tt", "ss", "ff")
-        scalar = ScalarBackend().measure_many(
+        scalar = oracle.OracleBackend().measure_many(
             five_t, population, corners=corners, analyses=TRAN
         )
         batched = BatchedBackend().measure_many(

@@ -16,6 +16,8 @@ from repro.transformer import (
     numeric_token_weights,
 )
 
+from tests.mna_oracle import greedy_decode_naive
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -134,7 +136,7 @@ class TestDecoding:
         src_pad = np.zeros_like(src, dtype=bool)
         src_pad[2, 4:] = True
         fast = model.greedy_decode(src, src_pad, bos_id=1, eos_id=2, max_len=15)
-        naive = model.greedy_decode_naive(src, src_pad, bos_id=1, eos_id=2, max_len=15)
+        naive = greedy_decode_naive(model, src, src_pad, bos_id=1, eos_id=2, max_len=15)
         assert fast == naive
 
     def test_decode_respects_max_len(self, tiny_model):
