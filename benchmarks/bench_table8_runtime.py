@@ -59,7 +59,7 @@ from repro.core import DesignSpec, SizingFlow, run_sizing_study
 from repro.service import SizingEngine, SizingRequest
 from repro.solvers import BatchedBackend, EvalBackend, SearchSpace
 
-from conftest import write_bench_json, write_result
+from conftest import PerCandidateBackend, write_bench_json, write_result
 
 #: Unseen designs sized per topology (the paper uses 100).
 N_SPECS = 25
@@ -223,13 +223,6 @@ def test_table8_batched_inference_throughput(artifact, topologies):
 # ----------------------------------------------------------------------
 # Stage IV verification throughput (round-batched vs sequential backend)
 # ----------------------------------------------------------------------
-class _PerCandidateBackend(EvalBackend):
-    """The sequential reference: one ``measure_many`` call per candidate."""
-
-    def measure_many(self, topology, widths_list):
-        return [topology.measure_many([widths])[0] for widths in widths_list]
-
-
 class _TimedBackend(EvalBackend):
     """Wraps a backend and accounts its bulk-verification wall time."""
 
@@ -329,12 +322,12 @@ def test_table8_verification_throughput(topologies):
         return engine.size_batch(requests), backend
 
     # Warm both paths (imports, first-touch allocations).
-    run(_PerCandidateBackend())
+    run(PerCandidateBackend())
     run(BatchedBackend())
 
     sequential_s, batched_s = float("inf"), float("inf")
     for _ in range(VERIFY_REPEATS):
-        sequential_responses, sequential_backend = run(_PerCandidateBackend())
+        sequential_responses, sequential_backend = run(PerCandidateBackend())
         sequential_s = min(sequential_s, sequential_backend.seconds)
         batched_responses, batched_backend = run(BatchedBackend())
         batched_s = min(batched_s, batched_backend.seconds)
@@ -417,23 +410,17 @@ def test_table8_corner_throughput(topologies):
         population.append(widths)
     assert len(population) >= N_CORNER_POP // 2, "too few simulatable designs"
 
-    batched_backend = BatchedBackend()
-
-    def per_pair(candidates):
-        return [
-            [topology.measure_many([widths], corners=(corner,))[0].outcomes[0]
-             for corner in CORNER_AXIS]
-            for widths in candidates
-        ]
-
+    sequential_backend, batched_backend = PerCandidateBackend(), BatchedBackend()
     # Warm both paths (imports, first-touch allocations).
-    per_pair(population[:2])
+    sequential_backend.measure_many(topology, population[:2], corners=CORNER_AXIS)
     batched_backend.measure_many(topology, population[:2], corners=CORNER_AXIS)
 
     sequential_s = batched_s = float("inf")
     for _ in range(CORNER_REPEATS):
         start = time.perf_counter()
-        sequential_rows = per_pair(population)
+        sequential_sweeps = sequential_backend.measure_many(
+            topology, population, corners=CORNER_AXIS
+        )
         sequential_s = min(sequential_s, time.perf_counter() - start)
         start = time.perf_counter()
         batched_sweeps = batched_backend.measure_many(
@@ -442,9 +429,9 @@ def test_table8_corner_throughput(topologies):
         batched_s = min(batched_s, time.perf_counter() - start)
 
     # Parity: bit-identical outcomes per (candidate, corner) pair.
-    for row, sweep in zip(sequential_rows, batched_sweeps, strict=True):
-        assert [corner.name for corner in sweep.corners] == list(CORNER_AXIS)
-        for ref_outcome, outcome in zip(row, sweep.outcomes, strict=True):
+    for reference, sweep in zip(sequential_sweeps, batched_sweeps, strict=True):
+        assert reference.corners == sweep.corners
+        for ref_outcome, outcome in zip(reference.outcomes, sweep.outcomes, strict=True):
             assert ref_outcome.ok == outcome.ok
             if not ref_outcome.ok:
                 continue

@@ -23,7 +23,7 @@ from repro import solvers
 from repro.core import DesignSpec
 from repro.solvers import BatchedBackend, SearchSpace
 
-from conftest import write_result
+from conftest import PerCandidateBackend, write_result
 
 N_SPECS = 3
 MAX_EVALS = 400
@@ -104,18 +104,15 @@ def test_table9_population_throughput(topologies):
     rng = np.random.default_rng(42)
     population = [space.decode(space.random_point(rng)) for _ in range(POPULATION)]
 
-    batched = BatchedBackend()
-
-    def sequential():
-        return [batched.measure_many(topology, [widths])[0] for widths in population]
-
+    sequential, batched = PerCandidateBackend(), BatchedBackend()
     # Warm both paths (imports, first-touch allocations).
+    sequential.measure_many(topology, population[:2])
     batched.measure_many(topology, population[:2])
 
     sequential_s, batched_s = float("inf"), float("inf")
     for _ in range(THROUGHPUT_REPEATS):
         start = time.perf_counter()
-        sequential_outcomes = sequential()
+        sequential_outcomes = sequential.measure_many(topology, population)
         sequential_s = min(sequential_s, time.perf_counter() - start)
         start = time.perf_counter()
         batched_outcomes = batched.measure_many(topology, population)

@@ -23,7 +23,9 @@ import scipy
 
 from repro.core import predict_over_records
 from repro.core.pipeline import BENCHMARK_CONFIG, train_sizing_model
-from repro.topologies import topology_by_name
+from repro.devices import resolve_corners
+from repro.solvers import EvalBackend
+from repro.topologies import CornerSweep, topology_by_name
 
 CACHE_DIR = Path(__file__).resolve().parent / ".artifact_cache"
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -54,6 +56,29 @@ def _active_config():
             d_ff=48,
         )
     return BENCHMARK_CONFIG
+
+
+class PerCandidateBackend(EvalBackend):
+    """Sequential reference of the throughput benches: one
+    ``measure_many`` call per candidate, or per (candidate, corner) pair
+    when ``corners`` is given."""
+
+    def measure_many(self, topology, widths_list, corners=None, analyses=None):
+        kwargs = {} if analyses is None else {"analyses": analyses}
+        if corners is None:
+            return [topology.measure_many([widths], **kwargs)[0] for widths in widths_list]
+        resolved = resolve_corners(corners)
+        return [
+            CornerSweep(
+                widths=dict(widths),
+                corners=resolved,
+                outcomes=tuple(
+                    topology.measure_many([widths], corners=(corner,), **kwargs)[0].outcomes[0]
+                    for corner in resolved
+                ),
+            )
+            for widths in widths_list
+        ]
 
 
 @pytest.fixture(scope="session")

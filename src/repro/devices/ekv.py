@@ -41,7 +41,7 @@ import numpy as np
 
 from .params import TechParams
 
-__all__ = ["EKVModel", "SmallSignal", "dc_currents", "interp_f", "interp_f_prime"]
+__all__ = ["EKVModel", "SmallSignal", "interp_f", "interp_f_prime"]
 
 ArrayLike = float | np.ndarray
 
@@ -87,7 +87,7 @@ class SmallSignal:
         return np.array([self.id, self.gm, self.gds, self.cds, self.cgs])
 
 
-def dc_currents(vgs, vds, vt0, n_slope, ut, ispec, lam):
+def _dc_currents(vgs, vds, vt0, n_slope, ut, ispec, lam):
     """``(Id, gm, gds)`` of the EKV core with ``Ispec`` and ``lambda`` given.
 
     The one implementation of the model's DC physics: normalized
@@ -148,7 +148,7 @@ class EKVModel:
         iterations well behaved.
         """
         tech = self.tech
-        return dc_currents(
+        return _dc_currents(
             vgs,
             vds,
             tech.vt0,
@@ -223,11 +223,8 @@ class EKVModel:
         is clamped at ``Vds = -pb/2`` so Newton excursions stay finite.
         """
         tech = self.tech
-        return tech.cj * width / self.junction_bias(vds) ** tech.mj
-
-    def junction_bias(self, vds: ArrayLike) -> np.ndarray:
-        """``1 + Vds/pb`` clamped at 0.5, the base of the ``Cds`` grading law."""
-        return np.maximum(1.0 + np.asarray(vds, dtype=float) / self.tech.pb, 0.5)
+        bias = np.maximum(1.0 + np.asarray(vds, dtype=float) / tech.pb, 0.5)
+        return tech.cj * width / bias**tech.mj
 
     # ------------------------------------------------------------------
     # Bundles

@@ -95,9 +95,8 @@ class MOSFET:
     def conductances(self, vd: float, vg: float, vs: float) -> tuple[float, float]:
         """Normalized ``(gm, gds)`` at the bias point (polarity-independent)."""
         vgs, vds = self.normalized_bias(vd, vg, vs)
-        gm = float(self.model.transconductance(vgs, vds, self.width, self.length))
-        gds = float(self.model.output_conductance(vgs, vds, self.width, self.length))
-        return gm, gds
+        _, gm, gds = self.model.ids_gm_gds(vgs, vds, self.width, self.length)
+        return float(gm), float(gds)
 
     # ------------------------------------------------------------------
     # Operating point extraction

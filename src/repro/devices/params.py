@@ -120,7 +120,6 @@ class TechParams:
             if np.any(width <= 0) or length <= 0:
                 raise ValueError("width and length must be positive")
         elif width <= 0 or length <= 0:
-            # Scalar fast path: this sits inside the DC Newton hot loop.
             raise ValueError("width and length must be positive")
         return 2.0 * self.n_slope * self.kp * (width / length) * self.ut**2
 

@@ -23,7 +23,10 @@ There is one kernel: :func:`solve_dc_many` groups circuits by MNA
 structure and solves each group together, with the residual/Jacobian
 assembly vectorized over a ``(candidates, devices)`` axis and each
 continuation strategy run as one batched pass over the candidates every
-earlier strategy left unconverged.  :func:`solve_dc` is a batch of one.
+earlier strategy left unconverged.  :func:`solve_dc` is a batch of one
+that makes no structure pattern, so its linear solves stay dense under
+every :mod:`~repro.spice.linsolve` mode; only the bulk path uses the
+sparse backend.
 The transient engine (:mod:`repro.spice.tran`) reuses the same assembly
 and Newton loop with capacitor companion stamps added.
 """
@@ -38,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..devices import EKVModel, OperatingPoint, SmallSignal
-from ..devices.ekv import dc_currents
+from ..devices.ekv import _dc_currents
 from . import linsolve
 from .netlist import GROUND, Circuit
 
@@ -256,6 +259,9 @@ def solve_dc(
 ) -> DCSolution:
     """Solve the DC operating point of ``circuit`` (a batch of one).
 
+    The solve carries no structure pattern, so its Newton steps use the
+    dense linear solve under every linsolve backend mode.
+
     Parameters
     ----------
     circuit:
@@ -271,7 +277,7 @@ def solve_dc(
     ConvergenceError
         If plain Newton, gmin stepping and source stepping all fail.
     """
-    (outcome,) = solve_dc_many([circuit], initial_guess=initial_guess, max_iterations=max_iterations)
+    (outcome,) = _solve_batch([circuit], [initial_guess], max_iterations, sparse=False)
     if isinstance(outcome, ConvergenceError):
         raise outcome
     return outcome
@@ -318,7 +324,8 @@ def solve_dc_many(  # checks: hot-path
     for indices in groups.values():
         batch = [circuits[i] for i in indices]
         batch_guesses = [guesses[i] for i in indices]
-        for i, outcome in zip(indices, _solve_batch(batch, batch_guesses, max_iterations), strict=True):
+        outcomes = _solve_batch(batch, batch_guesses, max_iterations, sparse=True)
+        for i, outcome in zip(indices, outcomes, strict=True):
             results[i] = outcome
     return results
 
@@ -482,7 +489,7 @@ def _residual_and_jacobian_batch(  # checks: hot-path
     xe = _with_ground(x)
     vgs, vds = _device_bias(system, xe)
     tech = stamps.tech
-    ids, gm, gds = dc_currents(vgs, vds, tech.vt0, tech.n_slope, tech.ut, stamps.ispec, stamps.lam)
+    ids, gm, gds = _dc_currents(vgs, vds, tech.vt0, tech.n_slope, tech.ut, stamps.ispec, stamps.lam)
 
     r1, r2 = system.resistor_nodes
     columns = [
@@ -534,6 +541,7 @@ def _newton_batch(  # checks: hot-path
     max_iterations: int = 150,
     abstol: float = 1e-10,
     reltol: float = 1e-9,
+    pattern: linsolve.StructurePattern | None = None,
     companion: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -546,6 +554,10 @@ def _newton_batch(  # checks: hot-path
     convergence criterion fires, so each trajectory is exactly the
     one-candidate iteration.  Returns ``(solutions, iterations,
     converged)``; unconverged rows of ``solutions`` hold their start.
+
+    ``pattern`` is the structure's symbolic solve pattern when the
+    linsolve layer should consider the sparse backend, else ``None``
+    (always dense).
 
     ``work`` optionally carries preallocated ``(f, jac)`` buffers with
     leading dimension >= ``batch`` (the transient driver shares one pair
@@ -562,7 +574,6 @@ def _newton_batch(  # checks: hot-path
     if work is None:
         work = (np.empty((batch, system.size)), np.empty((batch, system.size, system.size)))
     f_buf, jac_buf = work
-    pattern = system.pattern if linsolve.uses_sparse(system.size) else None
 
     for iteration in range(1, max_iterations + 1):
         m = active.size
@@ -608,10 +619,15 @@ _STRATEGIES = (
 
 
 def _continuation(
-    system: _MNASystem, stamps: _BatchStamps, x0s: np.ndarray, max_iterations: int
+    system: _MNASystem,
+    stamps: _BatchStamps,
+    x0s: np.ndarray,
+    max_iterations: int,
+    pattern: linsolve.StructurePattern | None,
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Run the stacked strategies over a batch; each strategy is one
     batched pass over the candidates every earlier strategy failed.
+    ``pattern`` is handed to every Newton pass (see :func:`_newton_batch`).
 
     Returns ``(solutions, iterations, strategy names)``; a candidate no
     strategy converged has strategy ``None``.  Iterations count every
@@ -629,7 +645,7 @@ def _continuation(
         for source_scale, gmin in stages:
             subset = stamps if alive.size == batch else stamps.take(pending[alive])
             x[alive], stage_iterations, converged = _newton_batch(
-                system, subset, x[alive], source_scale, gmin, max_iterations
+                system, subset, x[alive], source_scale, gmin, max_iterations, pattern=pattern
             )
             total[alive] += stage_iterations
             alive = alive[converged]
@@ -646,12 +662,14 @@ def _continuation(
     return solutions, iterations, strategies
 
 
-def _solve_batch(circuits: list, guesses: list, max_iterations: int) -> list:
-    """Solve one structure-sharing group; see :func:`solve_dc_many`."""
+def _solve_batch(circuits: list, guesses: list, max_iterations: int, sparse: bool) -> list:
+    """Solve one structure-sharing group; see :func:`solve_dc_many`.
+    ``sparse=False`` keeps every linear solve dense (:func:`solve_dc`)."""
     system = _system(_structure_key(circuits[0]))
     stamps = _BatchStamps(circuits)
     x0s = _initial_points(system, stamps, guesses)
-    xs, iterations, strategies = _continuation(system, stamps, x0s, max_iterations)
+    pattern = system.pattern if sparse and linsolve.uses_sparse(system.size) else None
+    xs, iterations, strategies = _continuation(system, stamps, x0s, max_iterations, pattern)
     solved = [j for j, strategy in enumerate(strategies) if strategy is not None]
     solutions = iter(
         _finalize(
@@ -715,16 +733,20 @@ def _finalize(
     vgs, vds = _device_bias(system, _with_ground(xs))
     tech = stamps.tech
     model = EKVModel(tech)
-    values = model.evaluate_all(vgs, vds, stamps.widths, system.lengths)
+    ids, gm, gds = _dc_currents(vgs, vds, tech.vt0, tech.n_slope, tech.ut, stamps.ispec, stamps.lam)
+    cgs = model.gate_source_capacitance(vgs, vds, stamps.widths, system.lengths)
     # The Cds grading ``bias**mj`` of a one-device evaluation is a scalar
     # pow, which can round differently from numpy's vectorized pow in the
     # last place; grade device by device so every operating point is the
     # one MOSFET.operating_point reports.
-    bias = model.junction_bias(vds)
+    bias = np.maximum(1.0 + vds / tech.pb, 0.5)
     mj = np.broadcast_to(tech.mj, bias.shape)
     grading = np.reshape(list(map(pow, bias.ravel().tolist(), mj.ravel().tolist())), bias.shape)
-    values["cds"] = tech.cj * stamps.widths / grading
-    columns = {name: value.tolist() for name, value in values.items()}
+    cds = tech.cj * stamps.widths / grading
+    columns = {
+        name: value.tolist()
+        for name, value in (("id", ids), ("gm", gm), ("gds", gds), ("cgs", cgs), ("cds", cds))
+    }
     ic = model.inversion_coefficient(vgs, vds).tolist()
     saturated = model.is_saturated(vgs, vds).tolist()
     vgs, vds = vgs.tolist(), vds.tolist()

@@ -190,10 +190,6 @@ def uses_sparse(size: int) -> bool:
     return _CONFIG.mode == "sparse" or size >= _CONFIG.sparse_min_size
 
 
-def _use_sparse(pattern: StructurePattern | None, size: int) -> bool:
-    return pattern is not None and uses_sparse(size)
-
-
 def solve_stacked(
     jac: np.ndarray,
     rhs: np.ndarray,
@@ -211,7 +207,7 @@ def solve_stacked(
     factors.
     """
     size = jac.shape[-1]
-    if _use_sparse(pattern, size):
+    if pattern is not None and uses_sparse(size):
         return _solve_sparse(jac, rhs, pattern)
     return _solve_dense(jac, rhs)
 

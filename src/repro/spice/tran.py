@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linsolve
 from .dc import (
     GMIN,
     ConvergenceError,
@@ -304,6 +305,7 @@ def _tran_batch(  # checks: hot-path
     active = np.arange(batch)
     active_stamps = stamps
     work = (np.empty((batch, system.size)), np.empty((batch, system.size, system.size)))
+    pattern = system.pattern if linsolve.uses_sparse(system.size) else None
 
     for step in range(1, n_steps + 1):
         if active.size == 0:
@@ -318,6 +320,7 @@ def _tran_batch(  # checks: hot-path
             1.0,
             GMIN,
             max_newton_iterations,
+            pattern=pattern,
             companion=(x_prev, hist_prev, g),
             work=work,
         )

@@ -35,6 +35,7 @@ from ..spice import (
     extract_tran_metrics,
     run_ac_many,
     run_tran_many,
+    solve_dc,
     solve_dc_many,
 )
 
@@ -432,7 +433,9 @@ class OTATopology(ABC):
         A batch of one through the :meth:`measure_many` kernel that raises
         instead of isolating: :class:`~repro.spice.ConvergenceError` when
         the DC (or transient) solve fails, ``KeyError``/``ValueError``
-        when the width vector cannot be built.
+        when the width vector cannot be built.  The DC leg is the
+        one-circuit :func:`~repro.spice.solve_dc`, whose linear solves
+        stay dense under every linsolve backend mode.
 
         ``corner`` selects the PVT evaluation context (preset name,
         :class:`~repro.devices.Corner` or override mapping; default
@@ -444,9 +447,8 @@ class OTATopology(ABC):
         """
         resolved_analyses = resolve_analyses(analyses)
         circuit = self.build_circuit(widths, vcm=vcm, corner=corner)
-        (result,) = self._measure_circuits(
-            [circuit], [self.initial_guess_for(corner)], frequencies, resolved_analyses
-        )
+        dc = solve_dc(circuit, initial_guess=self.initial_guess_for(corner))
+        (result,) = self._measure_circuits([circuit], [dc], frequencies, resolved_analyses)
         if isinstance(result, ConvergenceError):
             raise result
         return result
@@ -454,13 +456,14 @@ class OTATopology(ABC):
     def _measure_circuits(
         self,
         circuits: list[Circuit],
-        guesses: list,
+        dc_results: list,
         frequencies: np.ndarray | None,
         analyses: tuple[str, ...],
     ) -> list:
-        """Bulk DC/AC(/transient) of built circuits; aligned
-        :class:`MeasurementResult` or :class:`ConvergenceError` slots."""
-        results: list = solve_dc_many(circuits, initial_guess=guesses)
+        """Bulk AC(/transient) of built circuits from their aligned DC
+        results; aligned :class:`MeasurementResult` or
+        :class:`ConvergenceError` slots."""
+        results = list(dc_results)
         solved = [i for i, dc in enumerate(results) if not isinstance(dc, ConvergenceError)]
         dcs = [results[i] for i in solved]
         acs = run_ac_many(dcs, frequencies=frequencies)
@@ -590,7 +593,8 @@ class OTATopology(ABC):
                 continue
             built.append(index)
         guesses = [plans[index][2] for index in built]
-        results = self._measure_circuits(circuits, guesses, frequencies, analyses)
+        dc_results = solve_dc_many(circuits, initial_guess=guesses)
+        results = self._measure_circuits(circuits, dc_results, frequencies, analyses)
         for index, result in zip(built, results, strict=True):
             if isinstance(result, ConvergenceError):
                 outcomes[index].error = str(result)
