@@ -29,6 +29,7 @@ SMOKE_RUNS = [
         "verification_throughput or corner_throughput or tran_throughput or solver_scaling",
     ],
     [str(BENCH_DIR / "bench_alg1_width_estimator.py")],
+    [str(BENCH_DIR / "bench_decode_budget.py")],
     [str(BENCH_DIR / "bench_serve_throughput.py")],
     [str(BENCH_DIR / "bench_shard.py")],
     [str(BENCH_DIR / "bench_checks.py")],

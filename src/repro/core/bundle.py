@@ -9,7 +9,7 @@ training; inference uses only the transformer and the precomputed LUTs).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Sequence
 
@@ -23,7 +23,21 @@ from ..topologies import OTATopology, topology_by_name
 from ..transformer import Transformer
 from .specs import DesignSpec
 
-__all__ = ["SizingModel"]
+__all__ = ["DECODE_SLACK_DIVISOR", "SizingModel", "decode_budget"]
+
+#: Stage II decode budget rule.  A topology's budget is its longest
+#: tokenized training target plus ``ceil(longest / DECODE_SLACK_DIVISOR)``
+#: tokens of slack plus 2 for BOS and EOS -- the units of
+#: ``TransformerConfig.max_len``.  The decoder text is a fixed template
+#: per topology, so a good decode is about as long as the training
+#: targets; the slack covers values that tokenize longer, and the budget
+#: bounds what a decode that never emits EOS costs.
+DECODE_SLACK_DIVISOR = 4
+
+
+def decode_budget(longest_target: int) -> int:
+    """Decode budget (BOS and EOS included) for a longest target length."""
+    return longest_target + -(-longest_target // DECODE_SLACK_DIVISOR) + 2
 
 
 @dataclass
@@ -33,6 +47,10 @@ class SizingModel:  # checks: process-shared
     Marked ``process-shared``: the ROADMAP's multiprocess sharding will
     hand this bundle to worker processes, so the fork-safety rule keeps
     it (transitively) free of locks, threads, files, and bound callables.
+
+    ``decode_budgets`` maps a topology to its Stage II decode budget
+    (see :func:`decode_budget`); topologies without one decode to
+    ``TransformerConfig.max_len``.
     """
 
     transformer: Transformer
@@ -41,6 +59,7 @@ class SizingModel:  # checks: process-shared
     sequence_config: SequenceConfig
     builders: dict[str, SequenceBuilder]
     luts: dict[str, LookupTable]
+    decode_budgets: dict[str, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -60,6 +79,11 @@ class SizingModel:  # checks: process-shared
             sequence_config=any_builder.config,
             builders=dict(corpus.builders),
             luts=luts,
+            decode_budgets={
+                name: decode_budget(max(len(pair.target) for pair in pairs))
+                for name, pairs in corpus.pairs_by_topology.items()
+                if pairs
+            },
         )
 
     def builder(self, topology_name: str) -> SequenceBuilder:
@@ -77,24 +101,25 @@ class SizingModel:  # checks: process-shared
     # ------------------------------------------------------------------
     # Inference (Stages I + II)
     # ------------------------------------------------------------------
+    def decode_limit(self, topology_name: str, max_len: int | None = None) -> int:
+        """Decode limit of one topology's rows, in ``max_len`` units.
+
+        The topology's budget, or ``TransformerConfig.max_len`` when it
+        has none; an explicit ``max_len`` caps either.
+        """
+        limit = self.decode_budgets.get(topology_name, self.transformer.config.max_len)
+        return limit if max_len is None else min(limit, max_len)
+
     def predict_params(
         self, topology_name: str, spec: DesignSpec, max_len: int | None = None
     ) -> tuple[ParsedParams, str]:
         """Specs -> encoder sequence -> transformer -> parsed parameters.
 
         Returns the parsed per-device parameters and the raw decoded text
-        (useful for inspection and failure analysis).
+        (useful for inspection and failure analysis).  A batch of one of
+        :meth:`predict_params_many`, so it decodes to the same limit.
         """
-        builder = self.builder(topology_name)
-        encoder_text = builder.encoder_text(spec.gain_db, spec.f3db_hz, spec.ugf_hz)
-        source_ids = self.vocab.encode(self.bpe.encode(encoder_text))
-        src = np.asarray([source_ids], dtype=np.int64)
-        src_pad = np.zeros_like(src, dtype=bool)
-        decoded = self.transformer.greedy_decode(
-            src, src_pad, self.vocab.bos_id, self.vocab.eos_id, max_len=max_len
-        )[0]
-        text = self.vocab.decode_to_text(decoded)
-        return builder.parse_decoder_text(text), text
+        return self.predict_params_many({topology_name: [spec]}, max_len)[topology_name][0]
 
     def predict_params_batch(
         self,
@@ -123,8 +148,14 @@ class SizingModel:  # checks: process-shared
         encoder texts and the output parsers differ per topology.  Row
         independence (padding mask + per-sequence EOS) keeps each decoded
         text identical to the single-spec path.
+
+        Each row stops at its topology's :meth:`decode_limit`.  The
+        fused decode runs to the largest limit in the batch and cuts
+        every row to its own limit - 1 ids; greedy decoding is causal,
+        so that equals decoding the row alone at its own limit.
         """
         sources: list[list[int]] = []
+        limits: list[int] = []
         for name, specs in specs_by_topology.items():
             builder = self.builder(name)
             sources.extend(
@@ -133,6 +164,7 @@ class SizingModel:  # checks: process-shared
                 )
                 for s in specs
             )
+            limits.extend([self.decode_limit(name, max_len)] * len(specs))
         results: dict[str, list[tuple[ParsedParams, str]]] = {
             name: [] for name in specs_by_topology
         }
@@ -146,13 +178,13 @@ class SizingModel:  # checks: process-shared
             src[row, : len(ids)] = ids
             src_pad[row, : len(ids)] = False
         decoded = self.transformer.greedy_decode(
-            src, src_pad, self.vocab.bos_id, self.vocab.eos_id, max_len=max_len
+            src, src_pad, self.vocab.bos_id, self.vocab.eos_id, max_len=max(limits)
         )
         cursor = 0
         for name, specs in specs_by_topology.items():
             builder = self.builder(name)
-            for ids in decoded[cursor : cursor + len(specs)]:
-                text = self.vocab.decode_to_text(ids)
+            for row in range(cursor, cursor + len(specs)):
+                text = self.vocab.decode_to_text(decoded[row][: limits[row] - 1])
                 results[name].append((builder.parse_decoder_text(text), text))
             cursor += len(specs)
         return results
@@ -176,6 +208,7 @@ class SizingModel:  # checks: process-shared
             },
             "topologies": sorted(self.builders),
             "luts": sorted(self.luts),
+            "decode_budgets": dict(sorted(self.decode_budgets.items())),
         }
         (path / "bundle.json").write_text(json.dumps(meta, allow_nan=False))
         for tech_name, lut in self.luts.items():
@@ -238,4 +271,7 @@ class SizingModel:  # checks: process-shared
             sequence_config=sequence_config,
             builders=builders,
             luts=luts,
+            # Optional: bundles saved before budgets existed decode to
+            # ``TransformerConfig.max_len``.
+            decode_budgets=meta.get("decode_budgets", {}),
         )

@@ -10,8 +10,8 @@ memory.  This module serializes the same arrays into a *single* raw
 * ``arrays.npy`` — one flat ``uint8`` buffer holding every weight array
   and LUT grid back to back, each at a 64-byte-aligned offset.
 * ``manifest.json`` — the bundle metadata (tokenizer merges, vocab,
-  sequence config, transformer config, LUT scalars) plus an offset /
-  dtype / shape table for every array in the buffer.
+  sequence config, transformer config, decode budgets, LUT scalars)
+  plus an offset / dtype / shape table for every array in the buffer.
 
 Workers open the buffer with ``np.load(mmap_mode="r")`` and rebind model
 parameters to read-only views into it (:meth:`Module.adopt_parameters`),
@@ -127,6 +127,7 @@ def export_artifact(model: SizingModel, directory: str | Path) -> SharedArtifact
             "include_paths_in_encoder": model.sequence_config.include_paths_in_encoder,
         },
         "topologies": sorted(model.builders),
+        "decode_budgets": dict(sorted(model.decode_budgets.items())),
         "transformer_config": asdict(model.transformer.config),
         "luts": {
             tech_name: {
@@ -214,4 +215,5 @@ def load_shared_model(directory: str | Path) -> SizingModel:
         sequence_config=sequence_config,
         builders=builders,
         luts=luts,
+        decode_budgets=manifest.get("decode_budgets", {}),
     )

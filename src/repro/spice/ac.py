@@ -162,42 +162,14 @@ class _ACSystem:
 
         return g_matrix, c_matrix, rhs
 
-    def pattern(self) -> linsolve.StructurePattern:
-        """Symbolic solve structure of this system's ``Y(jw)`` sweep.
-
-        Every nonzero of ``Y(jw) = G + jw C`` lies inside
-        ``nonzero(G) | nonzero(C)`` at *every* frequency, so one pattern
-        covers the whole grid.
-        """
-        return linsolve.pattern_from_matrices(self._conductance, self._capacitance)
-
-    def solve(self, frequencies: np.ndarray) -> np.ndarray:
-        """Solve the frequency sweep through the linsolve layer.
-
-        Frequencies are chunked only to bound the stacked ``Y`` tensor's
-        memory; each chunk's ``Y(jw)`` entries are built with the same
-        elementwise arithmetic as the historical per-frequency loop and
-        the dense backend's stacked LAPACK sweep factors each matrix
-        independently, so the phasors are bit-identical to the old
-        scalar path.  The symbolic pattern is shared by every chunk.
-        """
-        phasors = np.zeros((len(frequencies), self.n_nodes), dtype=complex)
-        omegas = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-        pattern = self.pattern()
-        for start in range(0, len(omegas), _FREQ_CHUNK):
-            w = omegas[start : start + _FREQ_CHUNK]
-            y_stack = self._conductance[None, :, :] + (1j * w)[:, None, None] * self._capacitance[None, :, :]
-            rhs = np.broadcast_to(self._rhs, (len(w), self.size))
-            solved = linsolve.solve_stacked(y_stack, rhs, pattern=pattern)
-            phasors[start : start + len(w)] = solved[:, : self.n_nodes]
-        return phasors
-
 
 def run_ac(
     solution: DCSolution,
     frequencies: np.ndarray | None = None,
 ) -> ACResult:
     """Run a small-signal AC analysis at the given DC operating point.
+
+    A batch of one of :func:`run_ac_many`.
 
     Parameters
     ----------
@@ -207,25 +179,18 @@ def run_ac(
     frequencies:
         Frequency grid in Hz (defaults to :func:`default_frequency_grid`).
     """
-    freqs = default_frequency_grid() if frequencies is None else np.asarray(frequencies, dtype=float)
-    system = _ACSystem(solution)
-    phasors = system.solve(freqs)
-    return ACResult(frequencies=freqs, node_names=system.node_names, phasors=phasors)
+    return run_ac_many([solution], frequencies)[0]
 
 
 #: Candidates per stacked AC solve; bounds the transient ``Y`` stack to a
 #: few tens of MB even for large populations and wide frequency grids.
 _AC_CHUNK = 64
 
-#: Frequencies per stacked solve in the scalar :func:`run_ac` path; keeps
-#: the ``(freqs, size, size)`` complex ``Y`` stack small even for the
-#: node-count scaling bench's largest structures.
-_FREQ_CHUNK = 32
-
 #: Complex elements allowed in one ``(chunk, freqs, size, size)`` stack
-#: (~64 MB); large structures shrink the candidate chunk instead of
-#: blowing up memory.  Chunking never changes values -- each matrix is
-#: factorized independently either way.
+#: (~64 MB); large structures shrink the candidate chunk, and a single
+#: candidate whose own stack is larger solves its grid in frequency
+#: chunks.  Chunking never changes values -- each matrix is factorized
+#: independently either way.
 _AC_STACK_BUDGET = 4_000_000
 
 
@@ -235,13 +200,13 @@ def run_ac_many(  # checks: hot-path
 ) -> list:
     """Run the AC analysis of many operating points in one stacked solve.
 
-    The bulk path of the batched evaluation backend: all candidates' MNA
-    systems of one shape are stacked into a single complex
-    ``(candidates, frequencies, size, size)`` tensor and factorized by one
-    ``np.linalg.solve`` call, replacing the per-frequency Python loop of
-    :func:`run_ac` with a single LAPACK sweep.  The per-matrix arithmetic
-    is unchanged, so the returned phasors are bit-identical to running
-    :func:`run_ac` per candidate (pinned by the parity tests).
+    The one AC kernel: all candidates' MNA systems of one shape are
+    stacked into a single complex ``(candidates, frequencies, size,
+    size)`` tensor and factorized by one ``np.linalg.solve`` call.  Each
+    ``Y(jw) = G + jw C`` is built and factorized on its own, so a
+    candidate's phasors do not depend on its batch or on chunking, and
+    equal a per-frequency ``np.linalg.solve`` bit for bit (pinned by the
+    parity tests).
 
     ``solutions`` may mix circuit structures; candidates are grouped by
     system size and each group is solved together.
@@ -259,6 +224,8 @@ def run_ac_many(  # checks: hot-path
         chunk_size = max(
             1, min(_AC_CHUNK, _AC_STACK_BUDGET // max(1, len(freqs) * size * size))
         )
+        # Only a lone candidate over budget needs more than one pass.
+        freq_chunk = max(1, min(len(freqs), _AC_STACK_BUDGET // (size * size)))
         for start in range(0, len(indices), chunk_size):
             chunk = indices[start : start + chunk_size]
             g_stack = np.stack([systems[i]._conductance for i in chunk])
@@ -268,16 +235,20 @@ def run_ac_many(  # checks: hot-path
             # candidate's Y(jw) lie inside the union of the chunk's G/C
             # nonzeros at every frequency.
             pattern = linsolve.pattern_from_matrices(g_stack, c_stack)
-            # Y(jw) per candidate and frequency; elementwise the same ops
-            # as the scalar per-frequency build in _ACSystem.solve.
-            y_stack = g_stack[:, None, :, :] + (1j * omegas)[None, :, None, None] * c_stack[:, None, :, :]
-            rhs = np.broadcast_to(rhs_stack[:, None, :], y_stack.shape[:3])
-            solved = linsolve.solve_stacked(y_stack, rhs, pattern=pattern)
+            # Y(jw) per candidate and frequency.  At least one pass, so an
+            # empty grid yields empty phasors.
+            sweeps = []
+            for f_start in range(0, max(len(freqs), 1), freq_chunk):
+                w = omegas[f_start : f_start + freq_chunk]
+                y_stack = g_stack[:, None, :, :] + (1j * w)[None, :, None, None] * c_stack[:, None, :, :]
+                rhs = np.broadcast_to(rhs_stack[:, None, :], y_stack.shape[:3])
+                sweeps.append(linsolve.solve_stacked(y_stack, rhs, pattern=pattern))
+            phasors = np.concatenate(sweeps, axis=1)
             for row, i in enumerate(chunk):
                 system = systems[i]
                 results[i] = ACResult(
                     frequencies=freqs,
                     node_names=system.node_names,
-                    phasors=solved[row][:, : system.n_nodes].copy(),
+                    phasors=phasors[row, :, : system.n_nodes].copy(),
                 )
     return results

@@ -168,10 +168,22 @@ class Transformer(Module):
         prefix each step (checked by a regression test against a
         full-prefix reference decoder) but O(T^2) instead of O(T^3).
         Returns one id list per batch row (without BOS, truncated at EOS).
+
+        ``max_len`` counts BOS and EOS, like ``TransformerConfig.max_len``
+        (which caps it and is the default): a row holds at most
+        ``max_len - 1`` ids.  Values below 2 raise ``ValueError``.  The
+        loop stops once every row has emitted EOS; a row that never does
+        runs to the limit.  Decoding is causal, so a row's first ``k`` ids
+        do not depend on the limit: cutting a long decode to ``k`` ids
+        equals decoding at ``max_len = k + 1``.
         """
         from .functional import softmax  # local import to avoid cycle noise
 
-        limit = min(max_len or self.config.max_len, self.config.max_len)
+        if max_len is None:
+            max_len = self.config.max_len
+        if max_len < 2:
+            raise ValueError(f"max_len must be at least 2, got {max_len}")
+        limit = min(max_len, self.config.max_len)
         batch = src_ids.shape[0]
         memory = self.encode(src_ids, src_pad, training=False)
         cross_bias = np.where(src_pad, -1e30, 0.0)[:, None, None, :].astype(memory.dtype)

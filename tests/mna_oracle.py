@@ -414,7 +414,11 @@ class OracleBackend(EvalBackend):
 def greedy_decode_naive(model, src_ids, src_pad, bos_id, eos_id, max_len=None):
     """Greedy decoding that re-runs the decoder over the full prefix each
     step -- the reference for the KV-cached ``Transformer.greedy_decode``."""
-    limit = min(max_len or model.config.max_len, model.config.max_len)
+    if max_len is None:
+        max_len = model.config.max_len
+    if max_len < 2:
+        raise ValueError(f"max_len must be at least 2, got {max_len}")
+    limit = min(max_len, model.config.max_len)
     batch = src_ids.shape[0]
     memory = model.encode(src_ids, src_pad, training=False)
     cross_mask = padding_mask(src_pad)

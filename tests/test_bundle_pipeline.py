@@ -1,5 +1,7 @@
 """Tests of the SizingModel bundle persistence and the training pipeline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,8 @@ class TestBundlePersistence:
         artifacts.model.save(path)
         restored = SizingModel.load(path)
         assert set(restored.luts) == set(artifacts.model.luts)
+        assert set(restored.decode_budgets) == {"5T-OTA"}
+        assert restored.decode_budgets == artifacts.model.decode_budgets
         assert restored.bpe.merges == artifacts.model.bpe.merges
         assert restored.vocab.id_to_token == artifacts.model.vocab.id_to_token
         from repro.core import DesignSpec
@@ -84,6 +88,32 @@ class TestBundlePersistence:
         _, text_a = artifacts.model.predict_params("5T-OTA", spec)
         _, text_b = restored.predict_params("5T-OTA", spec)
         assert text_a == text_b
+
+    def test_legacy_bundle_without_budgets_decodes_to_max_len(
+        self, tiny_artifacts, tmp_path, monkeypatch
+    ):
+        artifacts, _ = tiny_artifacts
+        path = tmp_path / "bundle"
+        artifacts.model.save(path)
+        meta = json.loads((path / "bundle.json").read_text())
+        del meta["decode_budgets"]
+        (path / "bundle.json").write_text(json.dumps(meta))
+        restored = SizingModel.load(path)
+        assert restored.decode_budgets == {}
+
+        limits = []
+        decode = restored.transformer.greedy_decode
+
+        def spy(*args, max_len=None, **kwargs):
+            limits.append(max_len)
+            return decode(*args, max_len=max_len, **kwargs)
+
+        monkeypatch.setattr(restored.transformer, "greedy_decode", spy)
+        from repro.core import DesignSpec
+
+        record = artifacts.val_records["5T-OTA"][0]
+        restored.predict_params("5T-OTA", DesignSpec(record.gain_db, record.f3db_hz, record.ugf_hz))
+        assert limits == [restored.transformer.config.max_len] == [TINY.max_len]
 
     def test_lut_lookup_by_group(self, tiny_artifacts):
         artifacts, _ = tiny_artifacts

@@ -8,19 +8,23 @@ must produce bit-identical traces and accounting to the sequential
 per-candidate verification backend.
 """
 
+import dataclasses
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.core import DesignSpec, PipelineConfig, SizingFlow, train_sizing_model
-from repro.core.bundle import SizingModel
+from repro.core.bundle import SizingModel, decode_budget
+from repro.datagen.dataset import TokenizedCorpus
 from repro.datagen import SequenceBuilder, SequenceConfig
 from repro.service import ResultCache, SizingEngine, SizingRequest, SizingResponse
 from repro.service.cache import quantize_spec
 from repro.solvers import BatchedBackend
 from repro.spice import PerformanceMetrics
+from repro.transformer import SequencePair, Transformer, TransformerConfig
 from repro.topologies import (
     FiveTransistorOTA,
     available_topologies,
@@ -364,6 +368,126 @@ class TestBatchedDecodeParity:
             assert result.success == response.success
             assert result.iterations == response.iterations
             assert result.spice_simulations == response.spice_simulations
+
+
+# ----------------------------------------------------------------------
+# Per-topology decode budgets
+# ----------------------------------------------------------------------
+#: Budgets far below the trained targets, so a random-init decode hits them.
+SMALL_BUDGETS = {"5T-OTA": 12, "CM-OTA": 20}
+
+
+def _random_init(model, budgets, eos_bias=0.0):
+    """``model``'s tokenizer around a random-init transformer.
+
+    Unbiased, it never emits EOS.  ``eos_bias=1`` makes this seed's
+    5T-OTA rows stop after 6 ids and its CM-OTA rows after 101.
+    """
+    config = TransformerConfig(
+        vocab_size=len(model.vocab), d_model=16, n_heads=2, n_encoder_layers=1,
+        n_decoder_layers=1, d_ff=24, dropout=0.0, max_len=160, seed=3,
+    )
+    transformer = Transformer(config)
+    transformer.out_proj.bias[model.vocab.eos_id] += eos_bias
+    return dataclasses.replace(model, transformer=transformer, decode_budgets=budgets)
+
+
+def _fused_specs(artifacts):
+    return {
+        name: [DesignSpec(r.gain_db, r.f3db_hz, r.ugf_hz) for r in artifacts.val_records[name][:3]]
+        for name in ("5T-OTA", "CM-OTA")
+    }
+
+
+def _decode_alone(model, name, spec, max_len=None, decode=None):
+    """Ids of one spec decoded in a batch of its own."""
+    text = model.builder(name).encoder_text(spec.gain_db, spec.f3db_hz, spec.ugf_hz)
+    src = np.asarray([model.vocab.encode(model.bpe.encode(text))], dtype=np.int64)
+    decode = decode or model.transformer.greedy_decode
+    return decode(
+        src, np.zeros_like(src, dtype=bool), model.vocab.bos_id, model.vocab.eos_id,
+        max_len=max_len,
+    )[0]
+
+
+class TestDecodeBudgets:
+    def test_budget_rule(self, tiny_artifacts):
+        assert [decode_budget(n) for n in (1, 4, 5, 74, 121)] == [4, 7, 9, 95, 154]
+        model = tiny_artifacts.model
+        pairs = {
+            "5T-OTA": [SequencePair((4,), (5,) * 70), SequencePair((4,), (5,) * 74)],
+            "CM-OTA": [SequencePair((4,), (5,) * 121), SequencePair((4,), (5,) * 118)],
+            "2S-OTA": [],
+        }
+        corpus = TokenizedCorpus(
+            bpe=model.bpe, vocab=model.vocab, builders=model.builders, pairs_by_topology=pairs
+        )
+        built = SizingModel.from_corpus(model.transformer, corpus, model.luts)
+        assert built.decode_budgets == {"5T-OTA": 95, "CM-OTA": 154}
+        # The trained model's budgets come from its own corpus targets.
+        for name, dataset in tiny_artifacts.datasets.items():
+            builder = model.builder(name)
+            longest = max(
+                len(model.vocab.encode(model.bpe.encode(builder.decoder_text(r.device_params))))
+                for r in dataset.records
+            )
+            assert model.decode_budgets[name] == decode_budget(longest)
+
+    def test_fused_rows_stop_at_their_own_budget(self, tiny_artifacts):
+        model = _random_init(tiny_artifacts.model, SMALL_BUDGETS)
+        specs_by_topology = _fused_specs(tiny_artifacts)
+        fused = model.predict_params_many(specs_by_topology)
+        for name, specs in specs_by_topology.items():
+            budget = SMALL_BUDGETS[name]
+            for spec, (_, text) in zip(specs, fused[name], strict=True):
+                alone = _decode_alone(model, name, spec, max_len=budget)
+                naive = _decode_alone(
+                    model, name, spec, max_len=budget,
+                    decode=partial(oracle.greedy_decode_naive, model.transformer),
+                )
+                assert alone == naive
+                assert len(alone) == budget - 1  # never emitted EOS
+                assert text == model.vocab.decode_to_text(alone)
+                assert model.predict_params(name, spec)[1] == text
+
+    def test_explicit_max_len_caps_the_budget(self, tiny_artifacts):
+        model = _random_init(tiny_artifacts.model, SMALL_BUDGETS)
+        specs_by_topology = _fused_specs(tiny_artifacts)
+        for max_len in (8, 100):
+            fused = model.predict_params_many(specs_by_topology, max_len=max_len)
+            for name, specs in specs_by_topology.items():
+                limit = min(max_len, SMALL_BUDGETS[name])
+                assert model.decode_limit(name, max_len) == limit
+                for spec, (_, text) in zip(specs, fused[name], strict=True):
+                    alone = _decode_alone(model, name, spec, max_len=limit)
+                    assert text == model.vocab.decode_to_text(alone)
+        with pytest.raises(ValueError, match="max_len must be at least 2"):
+            model.predict_params_many(specs_by_topology, max_len=1)
+
+    def test_budget_cuts_today_decode_and_keeps_eos_rows(self, tiny_artifacts):
+        """A row that emits EOS within its budget decodes as without
+        budgets; one that does not keeps that decode's first budget - 1
+        ids.  Without budgets every row decodes to ``config.max_len``."""
+        budgeted = _random_init(tiny_artifacts.model, SMALL_BUDGETS, eos_bias=1.0)
+        unbounded = dataclasses.replace(budgeted, decode_budgets={})
+        specs_by_topology = _fused_specs(tiny_artifacts)
+        fused = budgeted.predict_params_many(specs_by_topology)
+        legacy = unbounded.predict_params_many(specs_by_topology)
+        hit = {True: 0, False: 0}
+        for name, specs in specs_by_topology.items():
+            budget = SMALL_BUDGETS[name]
+            assert unbounded.decode_limit(name) == unbounded.transformer.config.max_len
+            for spec, (_, text), (_, legacy_text) in zip(
+                specs, fused[name], legacy[name], strict=True
+            ):
+                today = _decode_alone(budgeted, name, spec)
+                assert legacy_text == budgeted.vocab.decode_to_text(today)
+                assert text == budgeted.vocab.decode_to_text(today[: budget - 1])
+                eos_within_budget = len(today) < budget - 1
+                if eos_within_budget:
+                    assert text == legacy_text
+                hit[eos_within_budget] += 1
+        assert hit[True] and hit[False]
 
 
 # ----------------------------------------------------------------------

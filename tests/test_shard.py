@@ -180,6 +180,8 @@ def _child_race_put(directory, barrier, request, response):
 class TestSharedArtifact:
     def test_roundtrip_predictions_identical(self, artifacts, artifact_dir):
         shared = load_shared_model(artifact_dir)
+        assert set(shared.decode_budgets) == {"5T-OTA"}
+        assert shared.decode_budgets == artifacts.model.decode_budgets
         record = artifacts.val_records["5T-OTA"][0]
         spec = SizingRequest.for_spec(
             "5T-OTA", record.gain_db, record.f3db_hz, record.ugf_hz
@@ -356,6 +358,9 @@ class TestShardedEngine:
             assert handle.state == "healthy"
 
     def test_parity_with_single_process_engine(self, pool, reference_engine, artifacts):
+        # Workers and the reference load the same budgets from the artifact.
+        assert reference_engine.model.decode_budgets == artifacts.model.decode_budgets
+        assert artifacts.model.decode_budgets
         requests = _requests_from(artifacts.val_records["5T-OTA"], 4, "parity-")
         reference = reference_engine.size_batch(requests)
         responses = pool.size_batch(requests)

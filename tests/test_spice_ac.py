@@ -76,16 +76,37 @@ class TestACAnalysis:
         with pytest.raises(ValueError, match="not a node"):
             result.transfer("missing-node")
 
-    def test_run_ac_many_bitwise_matches_run_ac(self):
-        from repro.spice import run_ac_many
+    def test_run_ac_many_bitwise_matches_run_ac(self, monkeypatch):
+        """The AC kernel equals a per-frequency ``solve(G + jwC, rhs)``
+        bit for bit, whether a candidate is solved alone (``run_ac``), in
+        a batch, or in frequency chunks (a one-candidate stack over the
+        memory budget)."""
+        from repro.spice import ac, run_ac_many
 
         freqs = np.logspace(2, 9, 40)
-        solutions = [solve_dc(rc_lowpass(r=r)) for r in (5e2, 1e3, 2e3, 8e3)]
+        omegas = 2.0 * np.pi * freqs
+        resistances = (5e2, 1e3, 2e3, 8e3)
+        c = 1e-9
+        solutions = [solve_dc(rc_lowpass(r=r, c=c)) for r in resistances]
+
+        def reference(r):
+            # MNA of rc_lowpass: unknowns v(in), v(out), i(VIN).
+            g = np.array([[1.0 / r, -1.0 / r, 1.0], [-1.0 / r, 1.0 / r, 0.0], [1.0, 0.0, 0.0]])
+            cap = np.zeros((3, 3))
+            cap[1, 1] = c
+            rhs = np.array([0.0, 0.0, 1.0], dtype=complex)
+            return np.stack([np.linalg.solve(g + 1j * w * cap, rhs) for w in omegas])[:, :2]
+
         stacked = run_ac_many(solutions, freqs)
-        for dc, result in zip(solutions, stacked, strict=True):
-            reference = run_ac(dc, freqs)
-            assert result.node_names == reference.node_names
-            np.testing.assert_array_equal(result.phasors, reference.phasors)
+        alone = [run_ac_many([dc], freqs)[0] for dc in solutions]
+        monkeypatch.setattr(ac, "_AC_STACK_BUDGET", 7 * 3 * 3)
+        chunked = run_ac_many(solutions, freqs)
+        single = [run_ac(dc, freqs) for dc in solutions]
+        for r, *results in zip(resistances, stacked, alone, chunked, single, strict=True):
+            expected = reference(r)
+            for result in results:
+                assert result.node_names == ["in", "out"]
+                np.testing.assert_array_equal(result.phasors, expected)
 
     def test_default_grid_spans_requested_range(self):
         grid = default_frequency_grid(1.0, 1e9, 10)

@@ -1,5 +1,7 @@
 """Tests of the full transformer model, loss, optimizer and trainer."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -142,8 +144,15 @@ class TestDecoding:
     def test_decode_respects_max_len(self, tiny_model):
         rng = np.random.default_rng(5)
         src = rng.integers(4, 12, size=(1, 5))
-        out = tiny_model.greedy_decode(src, np.zeros_like(src, dtype=bool), 1, 2, max_len=6)
+        src_pad = np.zeros_like(src, dtype=bool)
+        out = tiny_model.greedy_decode(src, src_pad, 1, 2, max_len=6)
         assert len(out[0]) <= 5
+        # Below the TransformerConfig floor of 2 (BOS plus one token) is
+        # an error in both decoders, not a silent default or empty rows.
+        for max_len in (0, 1):
+            for decode in (tiny_model.greedy_decode, partial(greedy_decode_naive, tiny_model)):
+                with pytest.raises(ValueError, match="max_len must be at least 2"):
+                    decode(src, src_pad, 1, 2, max_len=max_len)
 
     def test_eos_truncation(self, tiny_model):
         rng = np.random.default_rng(6)
