@@ -232,9 +232,11 @@ class _TimedBackend(EvalBackend):
         self.calls = 0
         self.candidates = 0
 
-    def measure_many(self, topology, widths_list):
+    def measure_many(self, topology, widths_list, corners=None, analyses=None):
         start = time.perf_counter()
-        outcomes = self.inner.measure_many(topology, widths_list)
+        outcomes = self.inner.measure_many(
+            topology, widths_list, corners=corners, analyses=analyses
+        )
         self.seconds += time.perf_counter() - start
         self.calls += 1
         self.candidates += len(widths_list)

@@ -64,16 +64,18 @@ class PerCandidateBackend(EvalBackend):
     when ``corners`` is given."""
 
     def measure_many(self, topology, widths_list, corners=None, analyses=None):
-        kwargs = {} if analyses is None else {"analyses": analyses}
         if corners is None:
-            return [topology.measure_many([widths], **kwargs)[0] for widths in widths_list]
+            return [
+                topology.measure_many([widths], analyses=analyses)[0] for widths in widths_list
+            ]
         resolved = resolve_corners(corners)
         return [
             CornerSweep(
                 widths=dict(widths),
                 corners=resolved,
                 outcomes=tuple(
-                    topology.measure_many([widths], corners=(corner,), **kwargs)[0].outcomes[0]
+                    topology.measure_many([widths], corners=(corner,), analyses=analyses)[0]
+                    .outcomes[0]
                     for corner in resolved
                 ),
             )

@@ -190,7 +190,6 @@ class SizingFlow:
         from ..service.requests import SizingRequest
 
         self._sync_engine()
-        extra = {} if analyses is None else {"analyses": tuple(analyses)}
         requests = [
             SizingRequest(
                 topology=self.topology.name,
@@ -198,7 +197,7 @@ class SizingFlow:
                 max_iterations=max_iterations,
                 rel_tol=rel_tol,
                 corners=tuple(corners),
-                **extra,
+                analyses=analyses,
             )
             for spec in specs
         ]

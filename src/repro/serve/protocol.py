@@ -22,7 +22,7 @@ import json
 from collections.abc import Mapping
 from typing import Any
 
-from ..service.requests import SizingRequest, SizingResponse
+from ..service.requests import SizingRequest, SizingResponse, error_response
 
 __all__ = [
     "RequestError",
@@ -88,32 +88,6 @@ def parse_request_text(
     except json.JSONDecodeError as error:
         raise RequestError(f"invalid JSON: {error}") from error
     return parse_request_payload(payload, allow_deadline=allow_deadline)
-
-
-def error_response(
-    message: str,
-    request_id: str = "",
-    topology: str = "",
-    method: str = "copilot",
-) -> SizingResponse:
-    """A failure response in the standard wire schema.
-
-    Every serving failure — bad payload, full queue, expired deadline,
-    handler error — comes back in the same :class:`SizingResponse` shape
-    as a served request, so clients parse one schema for all outcomes.
-    """
-    return SizingResponse(
-        request_id=request_id,
-        topology=topology,
-        method=method,
-        success=False,
-        widths=None,
-        metrics=None,
-        iterations=0,
-        spice_simulations=0,
-        wall_time_s=0.0,
-        error=message,
-    )
 
 
 def invalid_request_response(message: str) -> SizingResponse:

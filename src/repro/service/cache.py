@@ -105,9 +105,8 @@ class ResultCache:
         self._entries: OrderedDict[Hashable, tuple[DesignSpec, SizingResponse]] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        # Serializes LRU mutation and counter updates across threads
-        # (reentrant: ``get`` holds it across the ``_transferable`` probe).
-        self._lock = threading.RLock()
+        # Serializes LRU mutation and counter updates across threads.
+        self._lock = threading.Lock()
 
     @staticmethod
     def key(request: SizingRequest) -> Hashable:
@@ -149,27 +148,17 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, request: SizingRequest) -> bool:
-        with self._lock:
-            return self._transferable(request) is not None
-
-    def _transferable(self, request: SizingRequest) -> SizingResponse | None:
-        """The cached response if its verdict carries over to ``request``."""
-        entry = self._entries.get(self.key(request))
-        if entry is None:
-            return None
-        cached_spec, response = entry
-        return transferable_response(request, cached_spec, response)
-
     def get(self, request: SizingRequest) -> SizingResponse | None:
         """The cached response re-addressed to ``request``, or ``None``."""
+        key = self.key(request)
         with self._lock:
-            response = self._transferable(request)
+            entry = self._entries.get(key)
+            response = None if entry is None else transferable_response(request, *entry)
             if response is None:
                 self.misses += 1
                 return None
             self.hits += 1
-            self._entries.move_to_end(self.key(request))
+            self._entries.move_to_end(key)
             return response.with_request_id(request.id, cached=True)
 
     def put(self, request: SizingRequest, response: SizingResponse) -> None:
@@ -287,19 +276,6 @@ class SharedResultCache:  # checks: process-shared
         with closing(self._connect()) as conn:
             row = conn.execute("SELECT COUNT(*) FROM entries").fetchone()
             return int(row[0])
-
-    def __contains__(self, request: SizingRequest) -> bool:
-        with closing(self._connect()) as conn:
-            row = conn.execute(
-                "SELECT spec, response FROM entries WHERE key = ?",
-                (self.text_key(request),),
-            ).fetchone()
-        if row is None:
-            return False
-        return (
-            transferable_response(request, pickle.loads(row[0]), pickle.loads(row[1]))
-            is not None
-        )
 
     def get(self, request: SizingRequest) -> SizingResponse | None:
         """The cached response re-addressed to ``request``, or ``None``."""

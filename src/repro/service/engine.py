@@ -33,8 +33,10 @@ Requests with a ``corners`` axis are verified **worst-case across PVT
 corners**: each round's candidates are measured at every corner (the
 population x corner block stacks into the same batched solves), margin
 allocation chases the binding worst corner, and success requires every
-corner to meet the spec.  The corner axis is part of the result-cache
-key and of the in-batch coalescing key, so corner sets never cross-talk.
+corner to meet the spec.  A nominal request is judged the same way, as a
+sweep over the one nominal corner.  The corner axis is part of the
+result-cache key and of the in-batch coalescing key, so corner sets never
+cross-talk.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ from ..lut import LookupTable, estimate_widths
 from ..lut import estimate_width  # noqa: F401
 from ..solvers.backend import BatchedBackend, EvalBackend
 from ..spice import TRAN_METRIC_DIRECTIONS, PerformanceMetrics
-from ..topologies import MeasureOutcome, OTATopology, topology_by_name
+from ..topologies import CornerSweep, OTATopology, topology_by_name
 from .cache import ResultCache
-from .requests import SizingRequest, SizingResponse
+from .requests import SizingRequest, SizingResponse, error_response
 
 __all__ = ["SizingEngine", "EngineStats"]
 
@@ -135,13 +137,17 @@ class EngineStats:
         return {f.name: getattr(copy, f.name) for f in fields(copy)}
 
 
+#: One verified iterate: (widths, binding-corner metrics, per-corner
+#: metrics, binding corner name).
+_Iterate = tuple[dict[str, float], PerformanceMetrics, dict[str, PerformanceMetrics], str]
+
+
 class _ActiveRequest:
     """Mutable per-request state while its copilot loop is in flight."""
 
     __slots__ = (
         "request", "topology", "original", "current", "trace", "decoded_texts",
         "spice_count", "iteration", "best", "best_shortfall", "start", "result",
-        "best_corner_metrics", "best_worst_corner",
     )
 
     def __init__(self, request: SizingRequest, topology: OTATopology):
@@ -153,11 +159,9 @@ class _ActiveRequest:
         self.decoded_texts: list[str] = []
         self.spice_count = 0
         self.iteration = 0
-        self.best: tuple[dict[str, float], PerformanceMetrics] | None = None
+        #: The iterate with the smallest total shortfall so far.
+        self.best: _Iterate | None = None
         self.best_shortfall = float("inf")
-        #: Per-corner measurements of the best iterate (corner requests).
-        self.best_corner_metrics: dict[str, PerformanceMetrics] | None = None
-        self.best_worst_corner: str | None = None
         self.start = time.perf_counter()
         self.result: SizingResult | None = None
 
@@ -346,23 +350,16 @@ class SizingEngine:
                 request = state.request
                 key = (request.topology, request.corners, request.analyses)
                 verifiable.setdefault(key, []).append((state, widths))
-            for (name, corners, analyses), pairs in verifiable.items():
-                topology = pairs[0][0].topology
-                widths_list = [widths for _, widths in pairs]
-                # The analyses keyword travels only on non-default
-                # pipelines, so custom backends with the pre-transient
-                # signature keep serving AC-only rounds unchanged.
-                kwargs = {} if "tran" not in analyses else {"analyses": analyses}
-                if corners:
-                    sweeps = self.backend.measure_many(
-                        topology, widths_list, corners=corners, **kwargs
-                    )
-                    for (state, widths), sweep in zip(pairs, sweeps, strict=True):
-                        self._stage_iv_corners(state, widths, sweep)
-                else:
-                    outcomes = self.backend.measure_many(topology, widths_list, **kwargs)
-                    for (state, widths), outcome in zip(pairs, outcomes, strict=True):
-                        self._stage_iv(state, widths, outcome)
+            for (_, corners, analyses), pairs in verifiable.items():
+                results = self.backend.measure_many(
+                    pairs[0][0].topology,
+                    [widths for _, widths in pairs],
+                    corners=corners or None,
+                    analyses=analyses,
+                )
+                for (state, widths), result in zip(pairs, results, strict=True):
+                    sweep = result if corners else CornerSweep.nominal(result)
+                    self._stage_iv(state, widths, sweep)
             active = [s for s in active if s.result is None]
 
     def _record_decode(self, s: _ActiveRequest, parsed: ParsedParams, text: str) -> bool:
@@ -387,70 +384,29 @@ class SizingEngine:
         self._finish_if_exhausted(s)
 
     def _stage_iv(
-        self, s: _ActiveRequest, widths: dict[str, float], outcome: MeasureOutcome
+        self, s: _ActiveRequest, widths: dict[str, float], sweep: CornerSweep
     ) -> None:
-        """Judge one verification outcome exactly as the sequential path."""
-        requested = s.current
-        text = s.decoded_texts[-1]
+        """Judge one candidate's verification sweep exactly as the sequential path.
 
-        if not outcome.ok:
-            # Non-converging design (the backend's per-candidate stand-in
-            # for ConvergenceError, from any analysis leg -- DC Newton or
-            # transient integration): counts as no completed verification
-            # simulation, matching measure()'s convention that a failed
-            # measurement costs nothing regardless of partial work.
-            # Nudge and retry.
-            return self._retry(s, parsed=True, widths=widths)
-
-        s.spice_count += 1
-        self.stats.add(spice_simulations=1)
-        metrics = outcome.result.metrics
-        satisfied = s.original.satisfied(metrics, rel_tol=s.request.rel_tol)
-        s.trace.append(IterationTrace(requested, text, True, widths, metrics, satisfied))
-
-        # Track the iterate with the smallest total spec shortfall, so a
-        # failing run reports its closest attempt rather than its latest.
-        shortfall = sum(s.original.miss_fractions(metrics).values())
-        if shortfall < s.best_shortfall:
-            s.best_shortfall = shortfall
-            s.best = (widths, metrics)
-
-        if satisfied:
-            s.result = SizingResult(
-                success=True,
-                spec=s.original,
-                widths=widths,
-                metrics=metrics,
-                iterations=s.iteration,
-                spice_simulations=s.spice_count,
-                wall_time_s=time.perf_counter() - s.start,
-                trace=s.trace,
-            )
-            return
-
-        s.current = tighten_spec(requested, s.original, metrics)
-        self._finish_if_exhausted(s)
-
-    def _stage_iv_corners(
-        self, s: _ActiveRequest, widths: dict[str, float], sweep
-    ) -> None:
-        """Worst-case Stage IV: one candidate judged across every corner.
-
-        The candidate passes only when **all** corners meet the original
-        spec; the iteration trace and margin allocation run against the
-        binding worst corner (largest total shortfall), so retries tighten
-        toward the hardest operating condition.
+        A nominal request's sweep holds the one nominal corner.  The
+        candidate passes only when **all** corners meet the original spec;
+        the iteration trace and margin allocation run against the binding
+        worst corner (largest total shortfall), so retries tighten toward
+        the hardest operating condition.
         """
         requested = s.current
         text = s.decoded_texts[-1]
 
-        # Partially converged sweeps still burned simulations; count them.
+        # Every converged corner cost one simulation, even when another
+        # corner failed; a failed measurement costs nothing regardless of
+        # partial work.
         s.spice_count += sweep.n_ok
         self.stats.add(spice_simulations=sweep.n_ok)
 
         if not sweep.ok:
-            # At least one corner failed to converge: like the nominal
-            # path's non-converging design -- nudge and retry inference.
+            # A corner failed to converge (the backend's per-candidate
+            # stand-in for ConvergenceError, from any analysis leg -- DC
+            # Newton or transient integration): nudge and retry inference.
             return self._retry(s, parsed=True, widths=widths)
 
         worst_name, worst_metrics = sweep.worst_corner(s.original)
@@ -463,46 +419,42 @@ class SizingEngine:
             IterationTrace(requested, text, True, widths, worst_metrics, satisfied)
         )
 
+        # Track the iterate with the smallest total spec shortfall, so a
+        # failing run reports its closest attempt rather than its latest.
+        iterate = (widths, worst_metrics, corner_metrics, worst_name)
         shortfall = sum(s.original.miss_fractions(worst_metrics).values())
         if shortfall < s.best_shortfall:
             s.best_shortfall = shortfall
-            s.best = (widths, worst_metrics)
-            s.best_corner_metrics = corner_metrics
-            s.best_worst_corner = worst_name
+            s.best = iterate
 
         if satisfied:
-            s.result = SizingResult(
-                success=True,
-                spec=s.original,
-                widths=widths,
-                metrics=worst_metrics,
-                iterations=s.iteration,
-                spice_simulations=s.spice_count,
-                wall_time_s=time.perf_counter() - s.start,
-                trace=s.trace,
-                corner_metrics=corner_metrics,
-                worst_corner=worst_name,
-            )
-            return
+            return self._finish(s, True, iterate)
 
         s.current = tighten_spec(requested, s.original, worst_metrics)
         self._finish_if_exhausted(s)
 
     def _finish_if_exhausted(self, s: _ActiveRequest) -> None:
         if s.result is None and s.iteration >= s.request.iteration_budget:
-            widths, metrics = s.best if s.best is not None else (None, None)
-            s.result = SizingResult(
-                success=False,
-                spec=s.original,
-                widths=widths,
-                metrics=metrics,
-                iterations=len(s.trace),
-                spice_simulations=s.spice_count,
-                wall_time_s=time.perf_counter() - s.start,
-                trace=s.trace,
-                corner_metrics=s.best_corner_metrics,
-                worst_corner=s.best_worst_corner,
-            )
+            self._finish(s, False, s.best)
+
+    def _finish(self, s: _ActiveRequest, success: bool, iterate: _Iterate | None) -> None:
+        """Close ``s`` on ``iterate`` (``None``: nothing was ever measured)."""
+        widths, metrics, corner_metrics, worst_corner = iterate or (None, None, None, None)
+        if not s.request.corners:
+            # Nominal wire format: the one-corner sweep stays implicit.
+            corner_metrics = worst_corner = None
+        s.result = SizingResult(
+            success=success,
+            spec=s.original,
+            widths=widths,
+            metrics=metrics,
+            iterations=len(s.trace),
+            spice_simulations=s.spice_count,
+            wall_time_s=time.perf_counter() - s.start,
+            trace=s.trace,
+            corner_metrics=corner_metrics,
+            worst_corner=worst_corner,
+        )
 
     # ------------------------------------------------------------------
     # Non-copilot methods: dispatch through the solver registry
@@ -518,41 +470,18 @@ class SizingEngine:
         from .. import solvers
 
         self.stats.add(solver_requests=1)
-
-        def error_response(message: str) -> SizingResponse:
-            return SizingResponse(
-                request_id=request.id,
-                topology=request.topology,
-                method=request.method,
-                success=False,
-                widths=None,
-                metrics=None,
-                iterations=0,
-                spice_simulations=0,
-                wall_time_s=0.0,
-                error=message,
-            )
-
         try:
             topology = self.topology(request.topology)
-        except KeyError as error:
-            return error_response(str(error))
-        try:
             factory = solvers.solver_factory(request.method)
         except KeyError as error:
-            return error_response(str(error))
+            return error_response(str(error), request.id, request.topology, request.method)
 
-        solver_kwargs = {}
-        if "tran" in request.analyses:
-            # Only non-default pipelines travel, so solvers registered
-            # before the transient extension keep working unchanged.
-            solver_kwargs["analyses"] = request.analyses
         solver = factory(
             topology,
             model=self.model,
             backend=self.backend,
             corners=request.corners,
-            **solver_kwargs,
+            analyses=request.analyses,
         )
         spec = _derated_spec(request.spec, request.rel_tol)
         rng = np.random.default_rng(zlib.crc32(request.id.encode()))
@@ -645,17 +574,8 @@ class SizingEngine:
             try:
                 topology = self.topology(request.topology)
             except KeyError as error:
-                responses[index] = SizingResponse(
-                    request_id=request.id,
-                    topology=request.topology,
-                    method=request.method,
-                    success=False,
-                    widths=None,
-                    metrics=None,
-                    iterations=0,
-                    spice_simulations=0,
-                    wall_time_s=0.0,
-                    error=str(error),
+                responses[index] = error_response(
+                    str(error), request.id, request.topology, request.method
                 )
                 continue
             if self.cache is not None:

@@ -61,7 +61,7 @@ from ..devices import Corner, resolve_corners
 from ..spice import TRAN_METRIC_NAMES, PerformanceMetrics
 from ..topologies import DEFAULT_ANALYSES, TRAN_ANALYSES, resolve_analyses
 
-__all__ = ["SizingRequest", "SizingResponse"]
+__all__ = ["SizingRequest", "SizingResponse", "error_response"]
 
 
 def _metrics_json(metrics: PerformanceMetrics | None) -> dict[str, Any] | None:
@@ -341,3 +341,30 @@ class SizingResponse:
     @classmethod
     def from_json_line(cls, line: str) -> SizingResponse:
         return cls.from_json(json.loads(line))
+
+
+def error_response(
+    message: str,
+    request_id: str = "",
+    topology: str = "",
+    method: str = "copilot",
+) -> SizingResponse:
+    """A failure response in the standard wire schema.
+
+    Every failure — bad payload, unknown topology or solver, full queue,
+    expired deadline, crashed worker — comes back in the same
+    :class:`SizingResponse` shape as a served request, so clients parse
+    one schema for all outcomes.
+    """
+    return SizingResponse(
+        request_id=request_id,
+        topology=topology,
+        method=method,
+        success=False,
+        widths=None,
+        metrics=None,
+        iterations=0,
+        spice_simulations=0,
+        wall_time_s=0.0,
+        error=message,
+    )

@@ -49,7 +49,7 @@ from typing import Any
 
 from ..service.cache import SharedResultCache
 from ..service.engine import EngineStats, SizingEngine
-from ..service.requests import SizingRequest, SizingResponse
+from ..service.requests import SizingRequest, SizingResponse, error_response
 from .worker import engine_from_artifact, worker_main
 
 __all__ = ["ShardedEngine"]
@@ -106,21 +106,6 @@ class _WorkerHandle:
 
     def stat(self, name: str) -> float:
         return self.retired_stats.get(name, 0) + self.latest_stats.get(name, 0)
-
-
-def _error_response(request: SizingRequest, message: str) -> SizingResponse:
-    return SizingResponse(
-        request_id=request.id,
-        topology=request.topology,
-        method=request.method,
-        success=False,
-        widths=None,
-        metrics=None,
-        iterations=0,
-        spice_simulations=0,
-        wall_time_s=0.0,
-        error=message,
-    )
 
 
 class ShardedEngine:
@@ -365,8 +350,8 @@ class ShardedEngine:
                     responses[index] = response
             elif not job.crashed:
                 for index, request in zip(job.indices, job.requests, strict=True):
-                    responses[index] = _error_response(
-                        request, f"worker error: {job.error}"
+                    responses[index] = error_response(
+                        f"worker error: {job.error}", request.id, request.topology, request.method
                     )
             elif len(job.requests) > 1:
                 # A crashed multi-request slice is retried per-request so
@@ -387,7 +372,10 @@ class ShardedEngine:
                     if job.error is None
                     else f"worker unavailable: {job.error}"
                 )
-                responses[job.indices[0]] = _error_response(job.requests[0], message)
+                request = job.requests[0]
+                responses[job.indices[0]] = error_response(
+                    message, request.id, request.topology, request.method
+                )
         assert all(response is not None for response in responses)
         return responses  # type: ignore[return-value]
 
@@ -397,15 +385,11 @@ class ShardedEngine:
     @property
     def stats(self) -> EngineStats:
         """Pool-wide :class:`EngineStats`: retired + live worker counters."""
-        totals: dict[str, float] = {field.name: 0 for field in fields(EngineStats)}
-        for handle in self._handles:
-            for name in totals:
-                totals[name] += handle.stat(name)
-        for name in ("requests", "cache_hits", "coalesced", "batches",
-                     "inference_calls", "inference_sequences",
-                     "spice_simulations", "solver_requests"):
-            totals[name] = int(totals[name])
-        return EngineStats(**totals)
+        # Each counter keeps its declared type (int counters stay ints).
+        return EngineStats(**{
+            f.name: type(f.default)(sum(handle.stat(f.name) for handle in self._handles))
+            for f in fields(EngineStats)
+        })
 
     def health(self) -> dict[str, Any]:
         """Pool liveness: ``ok`` only when every worker is healthy."""

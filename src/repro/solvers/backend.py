@@ -11,12 +11,14 @@ MNA factorization over population x frequency grid, and with
 population x corner block costs one DC Newton batch and one stacked AC
 factorization per circuit structure.
 
-Results are ``list[MeasureOutcome]`` for flat calls and
-``list[CornerSweep]`` when a ``corners=`` axis is requested, with
+Results are ``list[MeasureOutcome]`` for nominal calls (``corners=None``)
+and ``list[CornerSweep]`` when a ``corners=`` axis is requested, with
 per-(candidate, corner) failure isolation.  Custom backends (counting,
-fault-injecting, remote) implement :meth:`EvalBackend.measure_many`;
-the test suite's sequential oracle backend is one, and the parity tests
-pin the batched backend to it bit for bit.
+fault-injecting, remote) implement the full
+:meth:`EvalBackend.measure_many` signature -- callers always pass both
+``corners=`` and ``analyses=``; the test suite's sequential oracle
+backend is one, and the parity tests pin the batched backend to it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -43,18 +45,15 @@ class EvalBackend(ABC):
     ) -> list:
         """Measure every candidate; one aligned outcome per width vector.
 
-        ``corners=None`` evaluates at the nominal corner and returns
-        ``list[MeasureOutcome]`` (the pre-corner contract, bit-identical).
-        A corner sequence evaluates every candidate at every corner and
-        returns ``list[CornerSweep]`` with per-(candidate, corner)
-        isolation.
+        ``corners=None`` evaluates at the nominal corner and returns a flat
+        ``list[MeasureOutcome]``.  A corner sequence evaluates every
+        candidate at every corner and returns ``list[CornerSweep]`` with
+        per-(candidate, corner) isolation.
 
         ``analyses`` selects the measurement pipeline (see
         :func:`repro.topologies.resolve_analyses`); ``None`` is the
-        AC-only default, bit-identical to the pre-transient contract.
-        Callers only pass the keyword when a non-default pipeline is
-        requested, so backends implementing the narrower pre-transient
-        signature keep working on the default path.
+        AC-only default.  Implementations must accept both keywords:
+        callers pass them on every call.
         """
 
     def measure(
@@ -65,10 +64,9 @@ class EvalBackend(ABC):
         analyses: Sequence[str] | None = None,
     ) -> MeasureOutcome:
         """Single-candidate convenience wrapper over :meth:`measure_many`."""
-        kwargs = {} if analyses is None else {"analyses": analyses}
         if corner is None:
-            return self.measure_many(topology, [widths], **kwargs)[0]
-        sweep = self.measure_many(topology, [widths], corners=(corner,), **kwargs)[0]
+            return self.measure_many(topology, [widths], corners=None, analyses=analyses)[0]
+        sweep = self.measure_many(topology, [widths], corners=(corner,), analyses=analyses)[0]
         return sweep.outcomes[0]
 
 
@@ -82,7 +80,4 @@ class BatchedBackend(EvalBackend):
         corners: Sequence[CornerLike] | None = None,
         analyses: Sequence[str] | None = None,
     ) -> list:
-        kwargs = {} if analyses is None else {"analyses": analyses}
-        if corners is not None:
-            return topology.measure_many(list(widths_list), corners=corners, **kwargs)
-        return topology.measure_many(list(widths_list), **kwargs)
+        return topology.measure_many(list(widths_list), corners=corners, analyses=analyses)

@@ -143,19 +143,13 @@ class SearchObjective:
         self.spec = spec
         self.backend = backend if backend is not None else BatchedBackend()
         self.check_regions = check_regions
-        #: Resolved PVT corner axis; empty tuple = nominal-only (the
-        #: pre-corner single-evaluation path, bit-identical).
+        #: Resolved PVT corner axis; empty tuple = nominal-only, judged as
+        #: a sweep over the one nominal corner.
         self.corners: tuple[Corner, ...] = resolve_corners(corners)
         #: Measurement pipeline: an explicit ``analyses`` request or, at
         #: minimum, whatever the spec needs -- transient targets pull the
         #: step-response analysis in so they can be judged at all.
-        #: ``None`` (the AC-only default) keeps the pre-transient backend
-        #: calls -- and custom backends with the narrower signature --
-        #: bit-identical.
-        resolved_analyses = resolve_analyses(analyses)
-        if spec.requires_tran:
-            resolved_analyses = TRAN_ANALYSES
-        self.analyses = resolved_analyses if "tran" in resolved_analyses else None
+        self.analyses = TRAN_ANALYSES if spec.requires_tran else resolve_analyses(analyses)
         self.space = SearchSpace(topology)
         self.spice_calls = 0
         self.best_value = float("inf")
@@ -173,39 +167,32 @@ class SearchObjective:
     def evaluate_many(self, points: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate a population of normalized points; lower is better."""
         widths_list = [self.space.decode(point) for point in points]
-        kwargs = {} if self.analyses is None else {"analyses": self.analyses}
-        if self.corners:
-            sweeps = self.backend.measure_many(
-                self.topology, widths_list, corners=self.corners, **kwargs
-            )
-            return np.array(
-                [self._record_sweep(w, s) for w, s in zip(widths_list, sweeps, strict=True)],
-                dtype=float,
-            )
-        outcomes = self.backend.measure_many(self.topology, widths_list, **kwargs)
+        results = self.backend.measure_many(
+            self.topology, widths_list, corners=self.corners or None, analyses=self.analyses
+        )
+        sweeps = results if self.corners else [CornerSweep.nominal(o) for o in results]
         return np.array(
-            [self._record(w, o) for w, o in zip(widths_list, outcomes, strict=True)], dtype=float
+            [self._record(w, s) for w, s in zip(widths_list, sweeps, strict=True)], dtype=float
         )
 
     def evaluate_one(self, point: np.ndarray) -> float:
         return float(self.evaluate_many(np.asarray(point, dtype=float)[None, :])[0])
 
     def _corner_value(self, outcome: MeasureOutcome) -> float:
-        """One corner's score with the flat path's penalty semantics."""
+        """One corner's score: its total shortfall, or a penalty."""
         if not outcome.ok:
             return PENALTY
         if self.check_regions and not self.topology.regions_ok(outcome.result.dc):
             return PENALTY / 2.0
         return float(sum(self.spec.miss_fractions(outcome.result.metrics).values()))
 
-    def _record_sweep(self, widths: dict[str, float], sweep: CornerSweep) -> float:
+    def _record(self, widths: dict[str, float], sweep: CornerSweep) -> float:
         """Worst-corner aggregate of one candidate's corner sweep."""
         self.spice_calls += len(sweep.corners)
-        values = [self._corner_value(outcome) for outcome in sweep.outcomes]
-        value = max(values)
-        # ``best`` bookkeeping mirrors the flat path: only candidates whose
-        # every corner simulated (and, when checked, stayed in-region) can
-        # become the incumbent -- a penalized corner disqualifies.
+        value = max(self._corner_value(outcome) for outcome in sweep.outcomes)
+        # Only candidates whose every corner simulated (and, when checked,
+        # stayed in-region) can become the incumbent -- a penalized corner
+        # disqualifies.
         eligible = sweep.ok and (
             not self.check_regions
             or all(
@@ -218,41 +205,21 @@ class SearchObjective:
             self.best_widths = widths
             # The binding corner by CornerSweep's two-level ranking: the
             # worst miss, or the least margin when every corner passes.
-            worst_name, worst_metrics = sweep.worst_corner(self.spec)
-            self.best_metrics = worst_metrics
-            self.best_worst_corner = worst_name
-            self.best_corner_metrics = sweep.metrics_by_corner()
-        # One history entry per SPICE call, preserving the unified
-        # semantics (entry k = best observed after call k+1).  The
+            worst_name, self.best_metrics = sweep.worst_corner(self.spec)
+            if self.corners:
+                self.best_worst_corner = worst_name
+                self.best_corner_metrics = sweep.metrics_by_corner()
+        # One history entry per SPICE call (entry k = best observed after
+        # call k+1).  ``best_value`` stays inf until the first simulatable
+        # candidate, so history tracks the best *observed* value instead,
+        # keeping every entry finite, JSON-serializable and monotone.  A
         # candidate's worst-corner aggregate is only known once its *last*
         # corner has simulated, so the in-sweep prefix records the prior
         # best (floored at PENALTY -- an observed corner scores at worst
-        # PENALTY, keeping every entry finite) and the aggregate lands on
-        # the sweep's final call, never earlier.
+        # PENALTY) and the aggregate lands on the sweep's final call.
         prefix = min(self._best_seen, PENALTY)
         self._best_seen = min(self._best_seen, value)
         self.history.extend([prefix] * (len(sweep.corners) - 1))
-        self.history.append(self._best_seen)
-        return value
-
-    def _record(self, widths: dict[str, float], outcome: MeasureOutcome) -> float:
-        self.spice_calls += 1
-        if not outcome.ok:
-            value = PENALTY
-        elif self.check_regions and not self.topology.regions_ok(outcome.result.dc):
-            value = PENALTY / 2.0
-        else:
-            metrics = outcome.result.metrics
-            value = float(sum(self.spec.miss_fractions(metrics).values()))
-            if value < self.best_value:
-                self.best_value = value
-                self.best_widths = widths
-                self.best_metrics = metrics
-        # ``best_value`` stays inf until the first simulatable candidate;
-        # history records the best *observed* value instead (an
-        # all-penalized prefix records PENALTY, not Infinity), keeping
-        # every entry finite, JSON-serializable and monotone.
-        self._best_seen = min(self._best_seen, value)
         self.history.append(self._best_seen)
         return value
 
@@ -273,9 +240,7 @@ class Solver(ABC):
     solver chases worst-corner-aggregate objectives and succeeds only when
     the design meets spec at every corner.  ``analyses`` selects the
     measurement pipeline (a spec with transient targets pulls the
-    transient leg in regardless); callers pass it only on non-default
-    pipelines, so solvers registered before the transient extension keep
-    working unchanged.
+    transient leg in regardless).
     """
 
     #: Registry name, e.g. ``"sa"``; also stamped on results.

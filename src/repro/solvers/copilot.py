@@ -104,14 +104,13 @@ class CopilotSolver(Solver):
         from ..service.requests import SizingRequest
 
         start = time.perf_counter()
-        extra = {} if self.analyses is None else {"analyses": tuple(self.analyses)}
         request = SizingRequest(
             topology=self.topology.name,
             spec=spec,
             max_iterations=self.default_iterations if budget is None else budget,
             rel_tol=self.rel_tol,
             corners=self.corners,
-            **extra,
+            analyses=self.analyses,
         )
         result = self.engine.size_result(request)
         solved = solve_result_from_sizing(self.name, spec, result)

@@ -22,7 +22,9 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from ..devices import VDD, Corner, CornerLike, TechParams, resolve_corner, resolve_corners
+from ..devices import (
+    NOMINAL_CORNER, VDD, Corner, CornerLike, TechParams, resolve_corner, resolve_corners,
+)
 from ..dpsfg import DPSFG, build_dpsfg, enumerate_paths, PathInventory
 from ..spice import (
     TRAN_METRIC_DIRECTIONS,
@@ -158,6 +160,11 @@ class CornerSweep:
     widths: dict[str, float]
     corners: tuple[Corner, ...]
     outcomes: tuple[MeasureOutcome, ...]
+
+    @classmethod
+    def nominal(cls, outcome: MeasureOutcome) -> CornerSweep:
+        """A flat nominal outcome as a sweep over the one nominal corner."""
+        return cls(outcome.widths, (NOMINAL_CORNER,), (outcome,))
 
     @property
     def ok(self) -> bool:

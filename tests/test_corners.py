@@ -39,6 +39,7 @@ from repro.devices import (
 )
 from repro.service import SizingEngine, SizingRequest, SizingResponse
 from repro.service.cache import ResultCache, quantize_spec
+from repro.service.engine import _NUDGE
 from repro.solvers import BatchedBackend, SearchObjective
 from repro.spice import ConvergenceError, PerformanceMetrics, parse_netlist, to_spice
 from repro.spice.dc import _structure_key
@@ -352,7 +353,7 @@ class _ScriptedCornerBackend(BatchedBackend):
     def __init__(self, script):
         self.script = list(script)  # one dict corner-name -> metrics per call
 
-    def measure_many(self, topology, widths_list, corners=None):
+    def measure_many(self, topology, widths_list, corners=None, analyses=None):
         assert corners is not None
         resolved = resolve_corners(corners)
         sweeps = []
@@ -569,6 +570,35 @@ class TestCornerServing:
         assert by_id["nom"].success and by_id["nom"].corner_metrics is None
         assert by_id["all"].success
         assert not by_id["hard"].success and by_id["hard"].worst_corner == "ss"
+
+    def test_partially_converged_sweep_costs_converged_corners(self, corner_serving):
+        """tt converges but ss does not: the round costs one simulation,
+        is traced as parsed but unmeasured, and the request is nudged."""
+        engine, topology, metrics = corner_serving
+        script = [
+            {"tt": metrics["tt"], "ss": None},
+            {"tt": metrics["tt"], "ss": metrics["ss"]},
+        ]
+        scripted = SizingEngine(
+            engine.model, cache_size=0, backend=_ScriptedCornerBackend(script)
+        )
+        scripted.adopt_topology(topology)
+        spec = self._easy_spec(metrics)
+        result = scripted.size_result(
+            SizingRequest(
+                topology=topology.name, spec=spec, max_iterations=2, corners=("tt", "ss")
+            )
+        )
+        first, second = result.trace
+        assert first.parsed_ok and first.widths is not None
+        assert first.metrics is None and not first.satisfied
+        # The nudged retry decodes a scaled spec and passes at both corners.
+        assert first.requested_spec == spec
+        assert second.requested_spec == spec.scaled(_NUDGE)
+        assert result.success and result.iterations == 2
+        assert result.spice_simulations == 1 + 2
+        assert scripted.stats.spice_simulations == 1 + 2
+        assert set(result.corner_metrics) == {"tt", "ss"}
 
 
 # ----------------------------------------------------------------------

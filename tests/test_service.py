@@ -611,6 +611,8 @@ class TestEngineServing:
         response = engine.size(impossible)
         assert not response.success
         assert response.metrics is not None  # best effort reported
+        # Nominal wire format: the one-corner sweep stays implicit.
+        assert response.corner_metrics is None and response.worst_corner is None
         result = engine.size_result(impossible)
         shortfalls = [
             sum(impossible.spec.miss_fractions(t.metrics).values())

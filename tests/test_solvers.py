@@ -164,7 +164,7 @@ class TestMeasureManyParity:
 class _FailingBackend(EvalBackend):
     """Every candidate fails to simulate — an all-penalized generation."""
 
-    def measure_many(self, topology, widths_list):
+    def measure_many(self, topology, widths_list, corners=None, analyses=None):
         from repro.topologies import MeasureOutcome
 
         return [
@@ -213,7 +213,7 @@ class TestSearchObjectiveHistory:
         from repro.topologies import MeasureOutcome
 
         class _TerribleBackend(EvalBackend):
-            def measure_many(self, topology, widths_list):
+            def measure_many(self, topology, widths_list, corners=None, analyses=None):
                 metrics = PerformanceMetrics(gain_db=-140.0, f3db_hz=1.0, ugf_hz=1.0)
                 return [
                     MeasureOutcome(widths=dict(w), result=SimpleNamespace(metrics=metrics))
@@ -262,6 +262,8 @@ class TestSearchSolvers:
         assert result.best_metrics is not None
         assert easy_spec.satisfied(result.best_metrics)
         assert 1 <= result.spice_calls <= 250
+        # A nominal solve reports no corner axis.
+        assert result.corner_metrics is None and result.worst_corner is None
 
     def test_history_is_best_so_far_per_spice_call(self, name, five_t_module, easy_spec):
         solver = solvers.create(name, five_t_module)
