@@ -28,6 +28,7 @@ SMOKE_RUNS = [
         "-k",
         "verification_throughput or corner_throughput or tran_throughput or solver_scaling",
     ],
+    [str(BENCH_DIR / "bench_ac_sweep.py")],
     [str(BENCH_DIR / "bench_alg1_width_estimator.py")],
     [str(BENCH_DIR / "bench_decode_budget.py")],
     [str(BENCH_DIR / "bench_serve_throughput.py")],

@@ -12,8 +12,8 @@ one vectorised Algorithm 1 call (:func:`~repro.lut.estimate_widths`).
 The round's verifiable candidates are verified together: one
 ``measure_many`` call per topology through the engine's pluggable
 :class:`~repro.solvers.EvalBackend` (Stage IV), so the verification
-SPICE simulations of a round share one stacked complex MNA factorization
-instead of running one at a time.  Throughput therefore scales with the
+SPICE simulations of a round share one batched DC Newton and one batched
+AC reduction instead of running one at a time.  Throughput therefore scales with the
 batch size instead of with Python loop iterations, while per-request
 semantics — margin allocation, retry nudges, iteration accounting,
 per-candidate ``ConvergenceError`` isolation — stay identical to the

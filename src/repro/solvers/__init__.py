@@ -13,8 +13,8 @@ CLI (``python -m repro size --method pso``).
 
 Underneath, population-based solvers submit whole generations to an
 :class:`EvalBackend`; the default :class:`BatchedBackend` vectorizes the
-per-candidate small-signal AC solves (one stacked complex MNA solve over
-population x frequency grid) and amortizes the DC Newton assembly across
+per-candidate small-signal AC solves (one batched Schur reduction over
+the population) and amortizes the DC Newton assembly across
 candidates, with per-candidate failure isolation -- each candidate's
 result is the one a one-candidate evaluation gives, just faster
 (``bench_table9`` pins both claims against a per-candidate loop).

@@ -5,11 +5,10 @@ ultimately asks the same question: *measure these candidate designs*.
 The :class:`EvalBackend` abstraction decouples solvers from how that
 measurement is executed.  :class:`BatchedBackend`, the default, routes
 whole populations through ``topology.measure_many``: the DC Newton
-solves share one vectorized assembly, the AC solves one stacked complex
-MNA factorization over population x frequency grid, and with
-``corners=`` the corner axis stacks into the same batched solves, so a
-population x corner block costs one DC Newton batch and one stacked AC
-factorization per circuit structure.
+solves share one vectorized assembly, the AC solves one batched Schur
+reduction over the population, and with ``corners=`` the corner axis
+stacks into the same batched solves, so a population x corner block
+costs one DC Newton batch and one AC reduction per circuit structure.
 
 Results are ``list[MeasureOutcome]`` for nominal calls (``corners=None``)
 and ``list[CornerSweep]`` when a ``corners=`` axis is requested, with

@@ -28,7 +28,9 @@ that makes no structure pattern, so its linear solves stay dense under
 every :mod:`~repro.spice.linsolve` mode; only the bulk path uses the
 sparse backend.
 The transient engine (:mod:`repro.spice.tran`) reuses the same assembly
-and Newton loop with capacitor companion stamps added.
+and Newton loop with capacitor companion stamps added, and the AC sweep
+(:mod:`repro.spice.ac`) stamps its small-signal ``G`` and ``C`` through
+the same plans.
 """
 
 from __future__ import annotations
@@ -150,6 +152,8 @@ class _MNASystem:
         self.resistor_nodes = np.asarray(resistor_pairs, dtype=np.intp).reshape(-1, 2).T
         self.conductance = np.array([1.0 / r for _, _, r in resistors])
         self.isource_dc = np.array([dc for _, _, dc in isources])
+        isource_pairs = [(at(pos), at(neg)) for pos, neg, _ in isources]
+        self.isource_nodes = np.asarray(isource_pairs, dtype=np.intp).reshape(-1, 2).T
         vsource_pairs = [(at(pos), at(neg)) for _, pos, neg in vsources]
         self.vsource_nodes = np.asarray(vsource_pairs, dtype=np.intp).reshape(-1, 2).T
         caps: list[tuple[int, int]] = []
@@ -165,7 +169,6 @@ class _MNASystem:
         # branch currents | capacitor currents].
         f_ops: list[tuple[int, int, float]] = []
         column = 0
-        isource_pairs = [(at(pos), at(neg)) for pos, neg, _ in isources]
         for pairs in (resistor_pairs, isource_pairs, list(zip(drains, sources, strict=True)),
                       vsource_pairs, caps):
             for plus, minus in pairs:
@@ -250,6 +253,39 @@ class _MNASystem:
 def _system(key: tuple, capacitors: tuple | None = None) -> _MNASystem:
     """The :class:`_MNASystem` of a structure, shared by every call."""
     return _MNASystem(key, capacitors)
+
+
+def _tran_structure_key(circuit: Circuit):
+    """Grouping key of the capacitive analyses (AC and transient): DC
+    structure plus capacitor connectivity.
+
+    Capacitors are open circuits at DC and deliberately absent from
+    :func:`_structure_key`, but the companion stamps align capacitor
+    *slots* across a batch, so circuits differing in capacitor count or
+    connectivity must never share a group.  Capacitance values stay out
+    of the key: they are per-candidate data (:func:`_capacitances`),
+    exactly like widths.  ``_system(*key)`` is the structure's
+    :class:`_MNASystem` with the companion stamps turned on.
+    """
+    return (
+        _structure_key(circuit),
+        tuple((cap.node1, cap.node2) for cap in circuit.capacitors),
+    )
+
+
+def _capacitances(solutions: list) -> np.ndarray:
+    """Companion-element capacitances, ``(candidates, elements)``, in the
+    element order of :class:`_MNASystem`: explicit capacitors keep their
+    netlist value, then each MOSFET contributes its operating-point
+    ``Cgs`` and ``Cds``."""
+    rows = []
+    for solution in solutions:
+        row = [cap.capacitance for cap in solution.circuit.capacitors]
+        for mosfet in solution.circuit.mosfets:
+            small = solution.op(mosfet.name).small_signal
+            row += [small.cgs, small.cds]
+        rows.append(row)
+    return np.array(rows)
 
 
 def solve_dc(

@@ -1,11 +1,11 @@
 """Pluggable linear-solve layer for the stacked MNA kernels.
 
-Every analysis engine (DC Newton, the AC ``Y(jw)`` sweep, transient time
-stepping) bottoms out in the same operation: solve a stack of square MNA
+DC Newton, transient time stepping and the per-frequency AC ``Y(jw)``
+sweep bottom out in the same operation: solve a stack of square MNA
 systems that share one sparsity *structure* while only the matrix
 *values* differ — across candidates, Newton iterations, time steps and
-the whole frequency grid.  This module owns that operation behind two
-entry points so the engines never touch a LAPACK/SuperLU call directly:
+the frequency grid.  This module owns that operation behind two entry
+points so those engines never touch a LAPACK/SuperLU call directly:
 
 * :func:`factorize_structure` turns the structural ``(row, col)`` stamp
   coordinates of one structure-key group into a :class:`StructurePattern`
@@ -30,7 +30,12 @@ The default ``auto`` mode picks sparse only when a pattern is supplied
 *and* the system has at least :data:`SPARSE_MIN_SIZE` unknowns: below
 that, LAPACK on a tiny dense matrix beats SuperLU's setup cost, so the
 paper's 5T/CM/2S-scale topologies keep their existing dense path (and
-its bit-exact outputs) untouched.
+its bit-exact outputs) untouched.  Below that threshold the ``auto`` AC
+sweep does not come here at all (:func:`auto_dense`): it runs its own
+Schur reduction (:mod:`repro.spice.ac`), one real solve and one Schur
+form per candidate instead of one complex LU per frequency.  Forcing
+``dense`` or ``sparse`` keeps the per-frequency LU for AC too, so
+``use_backend("dense")`` is the AC reference.
 
 Backend selection is process-global and test-controllable through
 :func:`use_backend`; the sparse backend degrades to dense when SciPy is
@@ -63,6 +68,7 @@ __all__ = [
     "HAVE_SPARSE",
     "SPARSE_MIN_SIZE",
     "StructurePattern",
+    "auto_dense",
     "backend_mode",
     "factorize_structure",
     "pattern_from_matrices",
@@ -129,10 +135,11 @@ def factorize_structure(rows, cols, size: int) -> StructurePattern:
 def pattern_from_matrices(*stacks: np.ndarray) -> StructurePattern:
     """Pattern from the union of nonzeros over already-stacked matrices.
 
-    Used by the AC path, where the chunk's ``G`` and ``C`` matrices are
-    in hand and every ``Y(jw) = G + jw C`` nonzero lies inside
-    ``nonzero(G) | nonzero(C)`` for *every* frequency — so the union mask
-    is a valid structural superset for the whole grid.
+    Used by the AC per-frequency LU when SuperLU will read the pattern:
+    the chunk's ``G`` and ``C`` matrices are in hand and every
+    ``Y(jw) = G + jw C`` nonzero lies inside ``nonzero(G) | nonzero(C)``
+    for *every* frequency — so the union mask is a valid structural
+    superset for the whole grid.
     """
     if not stacks:
         raise ValueError("need at least one matrix stack")
@@ -188,6 +195,13 @@ def uses_sparse(size: int) -> bool:
     if not HAVE_SPARSE or _CONFIG.mode == "dense":
         return False
     return _CONFIG.mode == "sparse" or size >= _CONFIG.sparse_min_size
+
+
+def auto_dense(size: int) -> bool:
+    """True when the default ``auto`` mode is selected and a system of
+    ``size`` unknowns is below its sparse threshold -- where the AC sweep
+    replaces the per-frequency LU by its Schur reduction."""
+    return _CONFIG.mode == "auto" and size < _CONFIG.sparse_min_size
 
 
 def solve_stacked(

@@ -46,10 +46,11 @@ from .dc import (
     ConvergenceError,
     DCSolution,
     _BatchStamps,
+    _capacitances,
     _MNASystem,
     _newton_batch,
-    _structure_key,
     _system,
+    _tran_structure_key,
     _with_ground,
 )
 from .netlist import GROUND, Circuit
@@ -190,22 +191,6 @@ def _grid(method: str, t_stop: float, n_steps: int) -> tuple[float, np.ndarray]:
     return dt, np.linspace(0.0, t_stop, n_steps + 1)
 
 
-def _tran_structure_key(circuit: Circuit):
-    """Transient grouping key: DC structure plus capacitor connectivity.
-
-    Capacitors are open circuits at DC and deliberately absent from
-    :func:`repro.spice.dc._structure_key`, but the companion-model stamps
-    align capacitor *slots* across a batch, so circuits differing in
-    capacitor count or connectivity must never share a group.
-    Capacitance values stay out of the key: they are per-candidate data
-    (:func:`_capacitances`), exactly like widths.
-    """
-    return (
-        _structure_key(circuit),
-        tuple((cap.node1, cap.node2) for cap in circuit.capacitors),
-    )
-
-
 def run_tran_many(  # checks: hot-path
     solutions: list,
     t_stop: float,
@@ -248,21 +233,6 @@ def run_tran_many(  # checks: hot-path
         for i, outcome in zip(indices, outcomes, strict=True):
             results[i] = outcome
     return results
-
-
-def _capacitances(solutions: list) -> np.ndarray:
-    """Companion-element capacitances, ``(candidates, elements)``, in the
-    element order of :class:`~repro.spice.dc._MNASystem`: explicit
-    capacitors keep their netlist value, then each MOSFET contributes its
-    operating-point ``Cgs`` and ``Cds`` (the AC analysis linearization)."""
-    rows = []
-    for solution in solutions:
-        row = [cap.capacitance for cap in solution.circuit.capacitors]
-        for mosfet in solution.circuit.mosfets:
-            small = solution.op(mosfet.name).small_signal
-            row += [small.cgs, small.cds]
-        rows.append(row)
-    return np.array(rows)
 
 
 def _branch_voltages(system: _MNASystem, x: np.ndarray) -> np.ndarray:

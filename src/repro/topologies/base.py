@@ -527,8 +527,8 @@ class OTATopology(ABC):
 
         The per-candidate DC Newton solves share one vectorized assembly
         (:func:`repro.spice.solve_dc_many`), the small-signal AC solves
-        collapse into one stacked complex MNA factorization over
-        population x frequency grid (:func:`repro.spice.run_ac_many`),
+        collapse into one batched Schur reduction over the population
+        (:func:`repro.spice.run_ac_many`),
         and -- with ``"tran"`` in ``analyses`` -- the step-response
         integrations share one candidate-vectorized Newton per time step
         (:func:`repro.spice.run_tran_many`).  Each candidate's metrics are

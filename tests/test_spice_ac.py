@@ -1,18 +1,29 @@
 """Tests of the small-signal AC analysis and metric extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.devices import NMOS_65NM
 from repro.spice import (
     Circuit,
+    ConvergenceError,
     PerformanceMetrics,
     crossing_frequency,
     default_frequency_grid,
     extract_metrics,
     run_ac,
+    run_ac_many,
     solve_dc,
+    solve_dc_many,
+    use_backend,
 )
+from repro.spice import ac
+from repro.topologies import available_topologies, topology_by_name
+
+from tests import mna_oracle as oracle
+from tests.conftest import GOOD_WIDTHS
 
 L = 180e-9
 
@@ -76,37 +87,67 @@ class TestACAnalysis:
         with pytest.raises(ValueError, match="not a node"):
             result.transfer("missing-node")
 
-    def test_run_ac_many_bitwise_matches_run_ac(self, monkeypatch):
-        """The AC kernel equals a per-frequency ``solve(G + jwC, rhs)``
-        bit for bit, whether a candidate is solved alone (``run_ac``), in
-        a batch, or in frequency chunks (a one-candidate stack over the
-        memory budget)."""
-        from repro.spice import ac, run_ac_many
+    def test_batch_of_n_equals_batch_of_one(self):
+        """Under ``auto`` a candidate's phasors are the same bits whether it
+        is solved alone or in a batch -- corner-mixed, several structures
+        in one call, or next to other widths."""
+        five_t, fc = topology_by_name("5T-OTA"), topology_by_name("FC-OTA")
+        plans = [
+            (topology, dict(GOOD_WIDTHS[topology.name], M1=GOOD_WIDTHS[topology.name]["M1"] * scale), corner)
+            for topology in (five_t, fc)
+            for corner in ("tt", "ss", "ff")
+            for scale in (1.0, 1.3)
+        ]
+        circuits = [topology.build_circuit(w, corner=c) for topology, w, c in plans]
+        guesses = [topology.initial_guess_for(c) for topology, _, c in plans]
+        solutions = solve_dc_many(circuits, initial_guess=guesses)
+        solutions.append(solve_dc(rc_lowpass()))
+        together = run_ac_many(solutions)
+        for solution, result in zip(solutions, together, strict=True):
+            (alone,) = run_ac_many([solution])
+            assert result.node_names == alone.node_names
+            np.testing.assert_array_equal(result.phasors, alone.phasors)
 
+    def test_forced_dense_chunking_keeps_bits(self, monkeypatch):
+        """The per-frequency LU reference gives the same bits whether the
+        ``(candidates, frequencies)`` stack is solved whole or in chunks
+        (a one-candidate stack over the memory budget)."""
+        five_t = topology_by_name("5T-OTA")
+        solutions = [
+            solve_dc(five_t.build(dict(GOOD_WIDTHS["5T-OTA"], M3=w)), initial_guess=five_t.initial_guess())
+            for w in (10e-6, 15e-6, 20e-6)
+        ]
+        with use_backend("dense"):
+            whole = run_ac_many(solutions)
+            monkeypatch.setattr(ac, "_AC_STACK_BUDGET", 7 * 11 * 11)
+            chunked = run_ac_many(solutions)
+        for reference, result in zip(whole, chunked, strict=True):
+            np.testing.assert_array_equal(result.phasors, reference.phasors)
+
+    @pytest.mark.parametrize("mode", ["auto", "dense", "sparse"])
+    def test_rc_closed_form(self, mode):
+        """Every route reproduces the RC low-pass ``1 / (1 + jwRC)`` at
+        both nodes, batched over several resistances."""
         freqs = np.logspace(2, 9, 40)
-        omegas = 2.0 * np.pi * freqs
         resistances = (5e2, 1e3, 2e3, 8e3)
         c = 1e-9
         solutions = [solve_dc(rc_lowpass(r=r, c=c)) for r in resistances]
+        with use_backend(mode):
+            results = run_ac_many(solutions, freqs)
+        for r, result in zip(resistances, results, strict=True):
+            assert result.node_names == ["in", "out"]
+            # |H| <= 1, so atol is a normwise bound at a few ulps.
+            np.testing.assert_allclose(result.transfer("in"), 1.0, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(
+                result.transfer("out"),
+                1.0 / (1.0 + 2j * np.pi * freqs * r * c),
+                rtol=1e-12,
+                atol=1e-15,
+            )
 
-        def reference(r):
-            # MNA of rc_lowpass: unknowns v(in), v(out), i(VIN).
-            g = np.array([[1.0 / r, -1.0 / r, 1.0], [-1.0 / r, 1.0 / r, 0.0], [1.0, 0.0, 0.0]])
-            cap = np.zeros((3, 3))
-            cap[1, 1] = c
-            rhs = np.array([0.0, 0.0, 1.0], dtype=complex)
-            return np.stack([np.linalg.solve(g + 1j * w * cap, rhs) for w in omegas])[:, :2]
-
-        stacked = run_ac_many(solutions, freqs)
-        alone = [run_ac_many([dc], freqs)[0] for dc in solutions]
-        monkeypatch.setattr(ac, "_AC_STACK_BUDGET", 7 * 3 * 3)
-        chunked = run_ac_many(solutions, freqs)
-        single = [run_ac(dc, freqs) for dc in solutions]
-        for r, *results in zip(resistances, stacked, alone, chunked, single, strict=True):
-            expected = reference(r)
-            for result in results:
-                assert result.node_names == ["in", "out"]
-                np.testing.assert_array_equal(result.phasors, expected)
+    def test_empty_grid(self):
+        (result,) = run_ac_many([solve_dc(rc_lowpass())], np.array([]))
+        assert result.phasors.shape == (0, 2)
 
     def test_default_grid_spans_requested_range(self):
         grid = default_frequency_grid(1.0, 1e9, 10)
@@ -117,6 +158,102 @@ class TestACAnalysis:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             default_frequency_grid(10.0, 1.0)
+
+
+def assert_matches_oracle(result, solution, node):
+    """``result`` agrees with the per-frequency oracle at ``node`` to
+    :data:`~tests.mna_oracle.AC_RTOL` (phasors max-norm relative, metrics
+    relative)."""
+    reference = oracle.run_ac(solution, result.frequencies)
+    got, want = result.transfer(node), reference.transfer(node)
+    assert np.abs(got - want).max() <= oracle.AC_RTOL * np.abs(want).max()
+    np.testing.assert_allclose(
+        extract_metrics(result, node).as_array(),
+        extract_metrics(reference, node).as_array(),
+        rtol=oracle.AC_RTOL,
+    )
+
+
+def capacitor_only_node():
+    """RC divider whose node ``mid`` is reached only through capacitors:
+    its row of ``G`` is zero, so ``G`` is singular."""
+    circuit = Circuit("floating")
+    circuit.add_vsource("VIN", "in", "0", 0.0, ac=1.0)
+    circuit.add_resistor("R", "in", "a", 1e3)
+    circuit.add_capacitor("C1", "a", "mid", 1e-9)
+    circuit.add_capacitor("C2", "mid", "0", 2e-9)
+    return circuit
+
+
+class TestACOracle:
+    """The default AC sweep against the scalar per-frequency oracle."""
+
+    @pytest.mark.parametrize("corner", ["tt", "ss", "ff"])
+    @pytest.mark.parametrize("name", sorted(available_topologies()))
+    def test_good_widths_at_corners(self, name, corner):
+        topology = topology_by_name(name)
+        circuit = topology.build_circuit(GOOD_WIDTHS[name], corner=corner)
+        solution = solve_dc(circuit, initial_guess=topology.initial_guess_for(corner))
+        assert_matches_oracle(run_ac(solution), solution, topology.output_node)
+
+    @pytest.mark.parametrize("name", sorted(available_topologies()))
+    def test_random_designs(self, name):
+        """40 designs at widths x e^+-0.7, swept in one batch."""
+        topology = topology_by_name(name)
+        rng = np.random.default_rng(16)
+        designs = [
+            {device: w * np.exp(rng.uniform(-0.7, 0.7)) for device, w in GOOD_WIDTHS[name].items()}
+            for _ in range(40)
+        ]
+        outcomes = solve_dc_many(
+            [topology.build(w) for w in designs], initial_guess=topology.initial_guess()
+        )
+        solutions = [s for s in outcomes if not isinstance(s, ConvergenceError)]
+        assert len(solutions) >= 30
+        for solution, result in zip(solutions, run_ac_many(solutions), strict=True):
+            assert_matches_oracle(result, solution, topology.output_node)
+
+    def test_singular_conductance_falls_back_to_lu(self):
+        """A capacitor-only node makes ``G`` singular: that candidate is
+        swept by the per-frequency LU, alone or next to healthy OTAs,
+        and the healthy candidates keep their solo bits."""
+        five_t = topology_by_name("5T-OTA")
+        healthy = [
+            solve_dc(five_t.build(dict(GOOD_WIDTHS["5T-OTA"], M3=w)), initial_guess=five_t.initial_guess())
+            for w in (10e-6, 20e-6)
+        ]
+        singular = solve_dc(capacitor_only_node())
+        (alone,) = run_ac_many([singular])
+        for node in ("a", "mid"):
+            assert_matches_oracle(alone, singular, node)
+        mixed = run_ac_many([healthy[0], singular, healthy[1]])
+        np.testing.assert_array_equal(mixed[1].phasors, alone.phasors)
+        for solution, result in zip(healthy, (mixed[0], mixed[2]), strict=True):
+            np.testing.assert_array_equal(result.phasors, run_ac(solution).phasors)
+
+    def test_singular_candidate_inside_a_group(self):
+        """A singular ``G`` among same-structure siblings (a drain-only
+        node whose device reports ``gds = 0``): the group splits between
+        the two routes and every candidate keeps its solo bits."""
+        def drain_only(width):
+            circuit = Circuit("drain-only")
+            circuit.add_vsource("VIN", "g", "0", 0.6, ac=1.0)
+            circuit.add_mosfet("M", "x", "g", "0", NMOS_65NM, width, L)
+            circuit.add_capacitor("C", "x", "0", 1e-12)
+            return solve_dc(circuit)
+
+        solutions = [drain_only(w) for w in (1e-6, 2e-6, 3e-6)]
+        op = solutions[1].operating_points["M"]
+        solutions[1] = dataclasses.replace(
+            solutions[1],
+            operating_points={
+                "M": dataclasses.replace(op, small_signal=dataclasses.replace(op.small_signal, gds=0.0))
+            },
+        )
+        together = run_ac_many(solutions)
+        for solution, result in zip(solutions, together, strict=True):
+            np.testing.assert_array_equal(result.phasors, run_ac(solution).phasors)
+            assert_matches_oracle(result, solution, "x")
 
 
 class TestMetricExtraction:
