@@ -29,7 +29,10 @@ capacitor companion stamps.  Two solvers share those matrices:
   Laub's Hessenberg method (A. J. Laub, "Efficient multivariable
   frequency response computations", IEEE TAC 26(2), 1981).  A candidate
   costs O(n^3 + F n^2) instead of O(F n^3) and no ``(F, n, n)`` stack is
-  formed.
+  formed.  Only the capacitor nodes no grounded source pins carry state,
+  so ``A`` is taken on those alone (3 to 7 of the OTAs' 11 to 21
+  unknowns) and a Woodbury step maps back to every node
+  (:func:`_schur_sweep`).
 * **Per-frequency LU** of ``G + jw C`` through
   :func:`repro.spice.linsolve.solve_stacked`: under a forced ``dense``
   or ``sparse`` backend (the reference and parity switches), at or above
