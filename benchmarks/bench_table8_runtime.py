@@ -16,9 +16,9 @@ iteration counts of the remainder.
 
 ``test_table8_batched_inference_throughput`` additionally reports the
 before/after number of the service redesign: inference-stage throughput
-of ``SizingEngine.size_batch`` over a mixed-topology batch vs the
-sequential ``SizingFlow.size`` path, with decoded texts pinned
-bit-identical between the two.
+of ``SizingEngine.size_batch`` over a mixed-topology batch vs sizing
+one request at a time (``engine.size_results([request])``), with decoded
+texts pinned bit-identical between the two.
 
 ``test_table8_verification_throughput`` is the Stage IV counterpart (and
 the CI smoke of the round-batched verification path): one multi-request
@@ -55,7 +55,7 @@ import time
 
 import numpy as np
 
-from repro.core import DesignSpec, SizingFlow, run_sizing_study
+from repro.core import DesignSpec, run_sizing_study
 from repro.service import SizingEngine, SizingRequest
 from repro.solvers import BatchedBackend, EvalBackend, SearchSpace
 
@@ -112,13 +112,14 @@ def test_table8_runtime_analysis(benchmark, artifact, topologies):
     overall_success = 0
     overall_total = 0
     studies = {}
+    engine = SizingEngine(artifact.model, cache_size=0)
     for name, topology in topologies.items():
-        flow = SizingFlow(topology, artifact.model)
+        engine.adopt_topology(topology)
         specs = [
             DesignSpec(r.gain_db, r.f3db_hz, r.ugf_hz)
             for r in artifact.val_records[name][:N_SPECS]
         ]
-        study = run_sizing_study(flow, specs, max_iterations=6, rel_tol=0.01)
+        study = run_sizing_study(engine, name, specs, max_iterations=6, rel_tol=0.01)
         studies[name] = study
         lines.append(
             f"{name:8s} {study.single_iteration_successes:>8d} "
@@ -143,15 +144,15 @@ def test_table8_runtime_analysis(benchmark, artifact, topologies):
     singles = sum(s.single_iteration_successes for s in studies.values())
     assert singles >= overall_success * 0.5
 
-    flow = SizingFlow(topologies["5T-OTA"], artifact.model)
     record = artifact.val_records["5T-OTA"][0]
-    spec = DesignSpec(record.gain_db, record.f3db_hz, record.ugf_hz)
-    benchmark.pedantic(lambda: flow.size(spec), rounds=1, iterations=1)
+    request = SizingRequest.for_spec("5T-OTA", record.gain_db, record.f3db_hz, record.ugf_hz)
+    benchmark.pedantic(lambda: engine.size_results([request]), rounds=1, iterations=1)
 
 
 def test_table8_batched_inference_throughput(artifact, topologies):
-    """Before/after of the service redesign: sequential ``SizingFlow.size``
-    vs ``SizingEngine.size_batch`` over a mixed-topology batch.
+    """Before/after of the service redesign: one request at a time
+    (``engine.size_results([request])``) vs ``SizingEngine.size_batch``
+    over a mixed-topology batch.
 
     Both paths run the identical copilot loop (the parity assertion pins
     bit-identical decoded texts per iteration), so the comparison isolates
@@ -172,16 +173,13 @@ def test_table8_batched_inference_throughput(artifact, topologies):
             )
     assert len(requests) >= 32
 
-    flows = {name: SizingFlow(topology, artifact.model) for name, topology in topologies.items()}
+    sequential_engine = SizingEngine(artifact.model, cache_size=0)
+    for topology in topologies.values():
+        sequential_engine.adopt_topology(topology)
     sequential_results = [
-        flows[request.topology].size(
-            request.spec, max_iterations=request.max_iterations, rel_tol=request.rel_tol
-        )
-        for request in requests
+        sequential_engine.size_results([request])[0] for request in requests
     ]
-    sequential_inference_s = sum(
-        flow._engine.stats.inference_seconds for flow in flows.values()
-    )
+    sequential_inference_s = sequential_engine.stats.inference_seconds
 
     # ------------------------------------------------------------------
     # After: one batched engine call (cache off for an honest comparison).
@@ -208,7 +206,7 @@ def test_table8_batched_inference_throughput(artifact, topologies):
         "",
         f"mixed-topology batch: {len(requests)} requests "
         f"({N_BATCH_PER_TOPOLOGY} per topology), {sequences} decoded sequences",
-        f"sequential SizingFlow.size inference stage: {sequential_inference_s:8.2f} s "
+        f"sequential size_results inference stage:    {sequential_inference_s:8.2f} s "
         f"({sequences / sequential_inference_s:6.2f} seq/s)",
         f"batched engine.size_batch inference stage:  {batched_inference_s:8.2f} s "
         f"({sequences / batched_inference_s:6.2f} seq/s)",

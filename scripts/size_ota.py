@@ -15,9 +15,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.core import DesignSpec, SizingFlow, SizingModel
+from repro.core import SizingModel
 from repro.core.pipeline import BENCHMARK_CONFIG, train_sizing_model
-from repro.topologies import topology_by_name
+from repro.service import SizingEngine, SizingRequest
 
 DEFAULT_CACHE = Path(__file__).resolve().parent.parent / "benchmarks" / ".artifact_cache"
 
@@ -40,10 +40,13 @@ def main(argv=None) -> int:
         print("loading (or training) the benchmark artifact ...", file=sys.stderr)
         model = train_sizing_model(BENCHMARK_CONFIG, cache_dir=DEFAULT_CACHE).model
 
-    topology = topology_by_name(args.topology)
-    flow = SizingFlow(topology, model)
-    spec = DesignSpec(args.gain_db, args.bw_mhz * 1e6, args.ugf_mhz * 1e6)
-    result = flow.size(spec, max_iterations=args.max_iterations)
+    engine = SizingEngine(model, cache_size=0)
+    topology = engine.topology(args.topology)
+    request = SizingRequest.for_spec(
+        args.topology, args.gain_db, args.bw_mhz * 1e6, args.ugf_mhz * 1e6,
+        max_iterations=args.max_iterations,
+    )
+    result = engine.size_results([request])[0]
 
     print(f"success: {result.success}  iterations: {result.iterations}  "
           f"SPICE simulations: {result.spice_simulations}  time: {result.wall_time_s:.2f}s")

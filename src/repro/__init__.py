@@ -42,7 +42,7 @@ Subpackages
 __version__ = "1.2.0"
 
 from . import solvers
-from .core import DesignSpec, SizingFlow, SizingModel, train_sizing_model
+from .core import DesignSpec, SizingModel, train_sizing_model
 from .service import SizingEngine, SizingRequest, SizingResponse
 from .topologies import (
     CurrentMirrorOTA,
@@ -56,7 +56,6 @@ from .topologies import (
 __all__ = [
     "solvers",
     "DesignSpec",
-    "SizingFlow",
     "SizingModel",
     "train_sizing_model",
     "SizingEngine",

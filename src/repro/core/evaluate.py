@@ -19,7 +19,7 @@ import numpy as np
 from ..datagen.dataset import DesignRecord
 from ..topologies import OTATopology
 from .bundle import SizingModel
-from .flow import SizingFlow, SizingResult
+from .flow import SizingResult
 from .specs import DesignSpec
 
 __all__ = [
@@ -76,7 +76,7 @@ def predict_over_records(
     for start in range(0, len(records), max(1, batch_size)):
         chunk = records[start : start + max(1, batch_size)]
         specs = [DesignSpec(r.gain_db, r.f3db_hz, r.ugf_hz) for r in chunk]
-        outputs = model.predict_params_batch(topology.name, specs)
+        outputs = model.predict_params_many({topology.name: specs})[topology.name]
         for record, (parsed, _) in zip(chunk, outputs, strict=True):
             if not parsed.complete:
                 failures += 1
@@ -153,19 +153,25 @@ class SizingStudy:
 
 
 def run_sizing_study(
-    flow: SizingFlow,
+    engine,
+    topology_name: str,
     specs: Sequence[DesignSpec],
     max_iterations: int = 6,
     rel_tol: float = 0.0,
 ) -> SizingStudy:
-    """Size every spec and collect Table VIII statistics.
+    """Size every spec on ``engine`` and collect Table VIII statistics.
 
-    Runs through ``SizingFlow.size_many`` (the engine's batched path), so
+    Runs through :meth:`~repro.service.SizingEngine.size_results`, so
     every copilot round fuses all still-active specs into one greedy
-    decode; per-spec results are bit-identical to the sequential loop this
-    used to be.
+    decode; per-spec results are bit-identical to sizing each spec alone.
     """
-    return SizingStudy(
-        topology_name=flow.topology.name,
-        results=flow.size_many(specs, max_iterations=max_iterations, rel_tol=rel_tol),
-    )
+    # Local import: repro.service builds on repro.core.
+    from ..service.requests import SizingRequest
+
+    requests = [
+        SizingRequest(
+            topology=topology_name, spec=spec, max_iterations=max_iterations, rel_tol=rel_tol
+        )
+        for spec in specs
+    ]
+    return SizingStudy(topology_name=topology_name, results=engine.size_results(requests))

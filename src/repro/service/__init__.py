@@ -12,8 +12,9 @@ serving-shaped API:
   memoizes results in an LRU cache keyed by quantized specification;
 * ``python -m repro size`` — JSONL in, JSONL out, on top of the engine.
 
-``SizingFlow`` (the original single-spec API) now delegates to the
-engine, so both paths share one implementation.
+``SizingEngine.size_results`` is the programmatic entry point: it runs
+the same copilot loop as ``size_batch`` but returns the full
+:class:`~repro.core.SizingResult` objects with their iteration traces.
 
 Requests may name any registered solver (``method="sa"``/``"pso"``/
 ``"de"``, see :mod:`repro.solvers`); the engine dispatches them through

@@ -16,9 +16,9 @@ SPICE simulations of a round share one batched DC Newton and one batched
 AC reduction instead of running one at a time.  Throughput therefore scales with the
 batch size instead of with Python loop iterations, while per-request
 semantics — margin allocation, retry nudges, iteration accounting,
-per-candidate ``ConvergenceError`` isolation — stay identical to the
-sequential ``SizingFlow.size`` path (the parity tests pin bit-identical
-decoded texts, widths and traces).
+per-candidate ``ConvergenceError`` isolation — stay identical to sizing
+each request alone (the parity tests pin bit-identical decoded texts,
+widths and traces).
 
 A bounded LRU cache keyed by (topology, quantized spec) absorbs repeated
 and near-duplicate requests without touching the transformer at all.
@@ -169,25 +169,25 @@ class _ActiveRequest:
 class SizingEngine:
     """Batched request/response front end over one trained sizing model."""
 
+    #: Stage III clamps every estimated width into this range (metres).
+    width_bounds = (0.1e-6, 200e-6)
+    #: Reject an inference whose Algorithm-1 width candidates disagree by
+    #: more than this relative spread: wildly inconsistent predicted
+    #: parameters cannot describe any physical device, so re-inferring
+    #: beats verifying a garbage design.
+    max_candidate_spread = 5.0
+
     def __init__(
         self,
         model: SizingModel,
         cache_size: int = 256,
-        width_bounds: tuple[float, float] = (0.1e-6, 200e-6),
-        max_candidate_spread: float = 5.0,
         backend: EvalBackend | None = None,
         cache: object | None = None,
     ):
         self.model = model
-        self.width_bounds = width_bounds
         #: Stage IV evaluation strategy, shared with registry-dispatched
         #: solvers so SPICE-call accounting flows through one place.
         self.backend = backend if backend is not None else BatchedBackend()
-        #: Reject an inference whose Algorithm-1 width candidates disagree
-        #: by more than this relative spread: wildly inconsistent predicted
-        #: parameters cannot describe any physical device, so re-inferring
-        #: beats verifying a garbage design.
-        self.max_candidate_spread = max_candidate_spread
         #: ``cache=`` injects any object with the ``ResultCache`` get/put
         #: protocol — notably a :class:`SharedResultCache` so sharding
         #: workers (and single-process engines pointed at the same
@@ -294,20 +294,13 @@ class SizingEngine:
         self, specs_by_topology: dict[str, list[DesignSpec]]
     ) -> dict[str, list[tuple[ParsedParams, str]]]:
         start = time.perf_counter()
-        total = sum(len(specs) for specs in specs_by_topology.values())
-        if total == 1:
-            # Single-shot path: ``predict_params`` so model subclasses that
-            # override only it (e.g. oracle stand-ins) keep working.
-            name = next(n for n, specs in specs_by_topology.items() if specs)
-            outputs = {name: [self.model.predict_params(name, specs_by_topology[name][0])]}
-        else:
-            # One fused decode across every topology: the model is shared,
-            # so the batch dimension spans the whole round.
-            outputs = self.model.predict_params_many(specs_by_topology)
+        # One fused decode across every topology: the model is shared, so
+        # the batch dimension spans the whole round.
+        outputs = self.model.predict_params_many(specs_by_topology)
         self.stats.add(
             inference_seconds=time.perf_counter() - start,
             inference_calls=1,
-            inference_sequences=total,
+            inference_sequences=sum(len(specs) for specs in specs_by_topology.values()),
         )
         return outputs
 
@@ -504,18 +497,13 @@ class SizingEngine:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def size_result(self, request: SizingRequest) -> SizingResult:
-        """Single-shot path returning the full :class:`SizingResult` with
-        its iteration trace.  Bypasses the result cache — this is the
-        back-compat engine of ``SizingFlow.size``."""
-        return self.size_results([request])[0]
-
     def size_results(self, requests: Sequence[SizingRequest]) -> list[SizingResult]:
         """Batched copilot path returning full :class:`SizingResult` objects
         (with iteration traces), cache-free; inference is fused across the
         whole batch exactly as in :meth:`size_batch`.  Raises for unknown
         topologies and non-copilot methods — this is the programmatic
-        engine behind ``SizingFlow``/``run_sizing_study``, not the wire API.
+        entry point (``run_sizing_study``, ``CopilotSolver``,
+        ``scripts/size_ota.py``), not the wire API.
         """
         states = []
         for request in requests:

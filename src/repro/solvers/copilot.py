@@ -75,23 +75,20 @@ class CopilotSolver(Solver):
         model=None,
         corners=None,
         analyses=None,
-        engine=None,
         rel_tol: float = 0.0,
     ):
         super().__init__(
             topology, backend=backend, model=model, corners=corners, analyses=analyses
         )
-        if engine is None:
-            if model is None:
-                raise ValueError("CopilotSolver needs a trained model= or an engine=")
-            from ..service.engine import SizingEngine
+        if model is None:
+            raise ValueError("CopilotSolver needs a trained model=")
+        from ..service.engine import SizingEngine
 
-            # The solver's backend becomes the engine's Stage IV strategy,
-            # so verification accounting flows through the same place as
-            # the search-based solvers'.
-            engine = SizingEngine(model, cache_size=0, backend=self.backend)
-        engine.adopt_topology(topology)
-        self.engine = engine
+        # The solver's backend becomes the engine's Stage IV strategy, so
+        # verification accounting flows through the same place as the
+        # search-based solvers'.
+        self.engine = SizingEngine(model, cache_size=0, backend=self.backend)
+        self.engine.adopt_topology(topology)
         self.rel_tol = rel_tol
 
     def solve(
@@ -112,7 +109,7 @@ class CopilotSolver(Solver):
             corners=self.corners,
             analyses=self.analyses,
         )
-        result = self.engine.size_result(request)
+        result = self.engine.size_results([request])[0]
         solved = solve_result_from_sizing(self.name, spec, result)
         solved.wall_time_s = time.perf_counter() - start
         return solved

@@ -584,11 +584,13 @@ class TestCornerServing:
         )
         scripted.adopt_topology(topology)
         spec = self._easy_spec(metrics)
-        result = scripted.size_result(
-            SizingRequest(
-                topology=topology.name, spec=spec, max_iterations=2, corners=("tt", "ss")
-            )
-        )
+        result = scripted.size_results(
+            [
+                SizingRequest(
+                    topology=topology.name, spec=spec, max_iterations=2, corners=("tt", "ss")
+                )
+            ]
+        )[0]
         first, second = result.trace
         assert first.parsed_ok and first.widths is not None
         assert first.metrics is None and not first.satisfied

@@ -2,7 +2,7 @@
 
 The parity tests are the contract of the service redesign: batched
 decoding (padded sources, per-sequence EOS) must produce *bit-identical*
-decoded texts and widths to the sequential ``SizingFlow.size`` path, and
+decoded texts and widths to sizing each request alone, and
 the round-batched Stage IV (one ``measure_many`` per topology per round)
 must produce bit-identical traces and accounting to the sequential
 per-candidate verification backend.
@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.core import DesignSpec, PipelineConfig, SizingFlow, train_sizing_model
+from repro.core import DesignSpec, PipelineConfig, train_sizing_model
 from repro.core.bundle import SizingModel, decode_budget
 from repro.datagen.dataset import TokenizedCorpus
 from repro.datagen import SequenceBuilder, SequenceConfig
@@ -310,13 +310,13 @@ class TestBatchedDecodeParity:
     logit difference flipping a near-tie argmax.
     """
 
-    def test_predict_params_batch_matches_sequential(self, tiny_artifacts):
+    def test_predict_params_many_matches_sequential(self, tiny_artifacts):
         model = tiny_artifacts.model
         for name in ("5T-OTA", "CM-OTA"):
             records = (tiny_artifacts.val_records[name] + tiny_artifacts.train_records[name])[:8]
             specs = [DesignSpec(r.gain_db, r.f3db_hz, r.ugf_hz) for r in records]
             sequential = [model.predict_params(name, spec)[1] for spec in specs]
-            batched = [text for _, text in model.predict_params_batch(name, specs)]
+            batched = [text for _, text in model.predict_params_many({name: specs})[name]]
             assert batched == sequential
 
     def test_predict_params_many_fuses_topologies(self, tiny_artifacts):
@@ -335,7 +335,7 @@ class TestBatchedDecodeParity:
             assert [text for _, text in fused[name]] == sequential
 
     def test_empty_batch(self, tiny_artifacts):
-        assert tiny_artifacts.model.predict_params_batch("5T-OTA", []) == []
+        assert tiny_artifacts.model.predict_params_many({"5T-OTA": []}) == {"5T-OTA": []}
 
     def test_size_batch_matches_sequential_flows(self, tiny_artifacts):
         """The headline parity contract over mixed topologies."""
@@ -348,14 +348,8 @@ class TestBatchedDecodeParity:
                         max_iterations=2,
                     )
                 )
-        flows = {
-            name: SizingFlow(topology_by_name(name), tiny_artifacts.model)
-            for name in ("5T-OTA", "CM-OTA")
-        }
-        sequential = [
-            flows[r.topology].size(r.spec, max_iterations=r.max_iterations)
-            for r in requests
-        ]
+        single = SizingEngine(tiny_artifacts.model, cache_size=0)
+        sequential = [single.size_results([r])[0] for r in requests]
         engine = SizingEngine(tiny_artifacts.model, cache_size=0)
         responses = engine.size_batch(requests)
         assert [r.request_id for r in responses] == [r.id for r in requests]
@@ -525,12 +519,13 @@ class TestEngineServing:
         assert model.batch_calls >= 1
         assert engine.stats.spice_simulations == sum(r.spice_simulations for r in responses)
 
-    def test_single_request_uses_single_path(self, oracle_setup):
+    def test_single_request_uses_fused_decode(self, oracle_setup):
+        """A batch of one runs the same ``predict_params_many`` path."""
         engine, model, records = self._engine(oracle_setup, cache_size=0)
         response = engine.size(self._achievable(records[0]))
-        assert response.success
-        assert model.batch_calls == 0
-        assert model.single_calls >= 1
+        assert response.success and response.single_simulation
+        assert model.batch_calls == 1
+        assert model.single_calls == 0
 
     def test_cache_skips_inference_for_duplicates(self, oracle_setup):
         engine, model, records = self._engine(oracle_setup, cache_size=16)
@@ -613,7 +608,7 @@ class TestEngineServing:
         assert response.metrics is not None  # best effort reported
         # Nominal wire format: the one-corner sweep stays implicit.
         assert response.corner_metrics is None and response.worst_corner is None
-        result = engine.size_result(impossible)
+        result = engine.size_results([impossible])[0]
         shortfalls = [
             sum(impossible.spec.miss_fractions(t.metrics).values())
             for t in result.trace if t.metrics is not None
@@ -622,54 +617,42 @@ class TestEngineServing:
         assert best_reported == min(shortfalls)
 
     def test_zero_iteration_budget_fails_gracefully(self, oracle_setup):
-        """max_iterations=0 returns a failed result without inference
-        (the pre-engine SizingFlow behavior)."""
+        """max_iterations=0 returns a failed result without inference."""
         engine, model, records = self._engine(oracle_setup, cache_size=0)
         response = engine.size(self._achievable(records[0], max_iterations=0))
         assert not response.success
         assert response.iterations == 0
         assert response.spice_simulations == 0
-        assert model.single_calls == 0
 
-        topology, _, luts = oracle_setup
-        flow = SizingFlow(topology, model)
-        result = flow.size(DesignSpec(25.0, 3e6, 6e7), max_iterations=0)
+        request = SizingRequest.for_spec("5T-OTA", 25.0, 3e6, 6e7, max_iterations=0)
+        result = engine.size_results([request])[0]
         assert not result.success and result.iterations == 0
+        assert model.single_calls == 0 and model.batch_calls == 0
 
     def test_run_sizing_study_uses_batched_inference(self, oracle_setup):
         """Table VIII studies must ride the engine's fused-decode path and
-        stay identical to the sequential facade."""
+        stay identical to sizing each spec alone."""
         from repro.core import run_sizing_study
 
-        topology, records, luts = oracle_setup
-        model = BatchedOracleModel(topology, records, luts)
-        flow = SizingFlow(topology, model)
+        engine, model, records = self._engine(oracle_setup, cache_size=0)
         specs = [
             DesignSpec(r.gain_db * 0.995, r.f3db_hz * 0.98, r.ugf_hz * 0.98)
             for r in records[:4]
         ]
-        study = run_sizing_study(flow, specs)
+        study = run_sizing_study(engine, "5T-OTA", specs)
+        assert study.topology_name == "5T-OTA"
         assert study.total == len(specs)
-        assert model.batch_calls >= 1  # fused decode, not a per-spec loop
+        # Fused decode, not a per-spec loop: a round decodes many specs.
+        assert engine.stats.inference_sequences > engine.stats.inference_calls
 
-        reference_flow = SizingFlow(topology, BatchedOracleModel(topology, records, luts))
+        reference_engine, _, _ = self._engine(oracle_setup, cache_size=0)
         for spec, result in zip(specs, study.results, strict=True):
-            reference = reference_flow.size(spec)
+            request = SizingRequest(topology="5T-OTA", spec=spec)
+            reference = reference_engine.size_results([request])[0]
             assert reference.widths == result.widths
             assert reference.success == result.success
             assert reference.spice_simulations == result.spice_simulations
             assert reference.iterations == result.iterations
-
-    def test_flow_delegates_to_engine(self, oracle_setup):
-        topology, records, luts = oracle_setup
-        model = BatchedOracleModel(topology, records, luts)
-        flow = SizingFlow(topology, model)
-        record = records[0]
-        spec = DesignSpec(record.gain_db * 0.995, record.f3db_hz * 0.98, record.ugf_hz * 0.98)
-        result = flow.size(spec)
-        assert result.success
-        assert result.single_simulation
-        assert model.batch_calls == 0  # sequential facade stays single-shot
 
 
 # ----------------------------------------------------------------------
@@ -1055,3 +1038,30 @@ class TestCLI:
         response = SizingResponse.from_json_line(responses_file.read_text().splitlines()[0])
         assert response.error is None
         assert exit_code == 0
+
+    def test_size_ota_script(self, tiny_artifacts, tmp_path, capsys):
+        """``scripts/size_ota.py`` sizes one spec against a saved bundle."""
+        import importlib.util
+        from pathlib import Path
+
+        script = Path(__file__).resolve().parent.parent / "scripts" / "size_ota.py"
+        spec = importlib.util.spec_from_file_location("size_ota", script)
+        size_ota = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(size_ota)
+
+        bundle = tmp_path / "bundle"
+        tiny_artifacts.model.save(bundle)
+        record = tiny_artifacts.val_records["5T-OTA"][0]
+        deck = tmp_path / "sized.sp"
+        exit_code = size_ota.main([
+            "--bundle", str(bundle), "--topology", "5T-OTA",
+            "--gain-db", str(record.gain_db),
+            "--bw-mhz", str(record.f3db_hz / 1e6),
+            "--ugf-mhz", str(record.ugf_hz / 1e6),
+            "--max-iterations", "1", "--spice-out", str(deck),
+        ])
+        assert exit_code in (0, 1)
+        out = capsys.readouterr().out
+        assert any(line.startswith("success:") for line in out.splitlines())
+        # A deck is written exactly when the flow produced widths.
+        assert deck.exists() == ("W(" in out)
