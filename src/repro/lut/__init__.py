@@ -1,6 +1,6 @@
 """Precomputed lookup tables and gm/Id width estimation (Stage III)."""
 
-from .table import LUT_OUTPUTS, LookupTable, build_lut
+from .table import LUT_OUTPUTS, SCAN_OUTPUTS, LookupTable, build_lut
 from .width_estimator import (
     DeviceParams,
     WidthEstimate,
@@ -11,6 +11,7 @@ from .width_estimator import (
 
 __all__ = [
     "LUT_OUTPUTS",
+    "SCAN_OUTPUTS",
     "LookupTable",
     "build_lut",
     "DeviceParams",

@@ -10,34 +10,82 @@ Because every output varies linearly with width, storing per-unit-width
 values lets any width be recovered by ratioing -- the gm/Id methodology.
 
 As in the paper, the relatively coarse 60 mV grid is augmented with cubic
-spline interpolation (``scipy.interpolate.RectBivariateSpline``) so queries
-at intermediate bias points stay accurate.
-
-Every query is vectorised: :meth:`LookupTable.query_grid` evaluates one
-output at every (``Vgs`` row, ``Vds`` column) pair in a single grid call,
-and :meth:`LookupTable.find_vgs_for_gm_id_many` inverts gm/Id for a whole
-batch of devices by fixed-step bisection.
+spline interpolation (``scipy.interpolate.RectBivariateSpline``) so
+queries at intermediate bias points stay accurate.  The spline's knots
+are grid points, so :class:`LookupTable` converts it once, at
+construction, into power-basis pieces and evaluates only those, in
+numpy: a ``4 x 4`` bicubic per grid cell of every output (a query is a
+gather plus Horner's rule), and the cost outputs collapsed onto
+Algorithm 1's fixed ``Vds`` scan, one cubic in ``Vgs`` per (interval,
+scan point) (:meth:`LookupTable.scan`).  Queries outside the grid clamp
+to its edge, as FITPACK's evaluation does.
 """
 
 from __future__ import annotations
 
+from math import factorial
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import BSpline, RectBivariateSpline
 
 from ..devices import NMOS_65NM, PMOS_65NM, TechParams
 from ..spice.sweep import CharacterizationResult, characterize_device
 
-__all__ = ["LookupTable", "build_lut", "LUT_OUTPUTS"]
+__all__ = ["LookupTable", "build_lut", "LUT_OUTPUTS", "SCAN_OUTPUTS", "VDS_SCAN_POINTS"]
 
 #: LUT output names in the Eq. (3) ordering.
 LUT_OUTPUTS = ("id", "gm", "gds", "cds", "cgs")
+#: Outputs of the ``Vds`` scan: the candidates w1..w4 of Algorithm 1's
+#: cost (line 11).
+SCAN_OUTPUTS = ("gm", "gds", "cds", "cgs")
+#: Points of Algorithm 1's ``Vds`` scan over ``[vds_grid[1], vds_grid[-1]]``.
+VDS_SCAN_POINTS = 241
 
 ArrayLike = float | np.ndarray
 
 #: Absolute ``Vgs`` tolerance of the gm/Id inversion (V).
 VGS_XTOL = 1e-7
+#: Sub-intervals per k-section round of the gm/Id inversion.
+_SECTIONS = 16
+_GM, _ID = LUT_OUTPUTS.index("gm"), LUT_OUTPUTS.index("id")
+_FRACTIONS = np.arange(1, _SECTIONS + 1)
+
+
+def _horner(coefficients: np.ndarray, offset: ArrayLike) -> np.ndarray:
+    """``sum_a coefficients[a] * offset**a`` (cubic, axis 0), elementwise
+    only, so an entry's bits do not depend on the array it sits in."""
+    value = coefficients[3] * offset
+    value += coefficients[2]
+    value *= offset
+    value += coefficients[1]
+    value *= offset
+    value += coefficients[0]
+    return value
+
+
+def _locate(grid: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid interval of each value (clamped to the grid) and its offset
+    from the interval's left end."""
+    clamped = np.minimum(np.maximum(values, grid[0]), grid[-1])
+    index = np.searchsorted(grid[1:-1], clamped, side="right")
+    return index, clamped - grid[index]
+
+
+def _basis(knots: np.ndarray, degree: int) -> BSpline:
+    """Every B-spline basis function on the knots, as one vector-valued spline."""
+    return BSpline(knots, np.eye(len(knots) - degree - 1), degree)
+
+
+def _taylor_rows(basis: BSpline, points: np.ndarray) -> np.ndarray:
+    """``B_p^(a)(x) / a!`` for every basis function ``p`` at each point
+    ``x``, powers ``a = 0..3``: shape ``(4, points, basis)``.
+
+    At the left end of a grid interval these are the interval's Taylor
+    (power-basis) rows: derivatives at a knot are right-sided, so they
+    belong to the interval that starts there.
+    """
+    return np.stack([basis(points, nu=a) / factorial(a) for a in range(4)])
 
 
 class LookupTable:  # checks: process-shared
@@ -45,7 +93,10 @@ class LookupTable:  # checks: process-shared
 
     Marked ``process-shared``: the gm/Id tables ship to sharding workers
     alongside :class:`~repro.core.bundle.SizingModel`, so the fork-safety
-    rule keeps them plain data (grids, tables, splines).
+    rule keeps them plain data (grids, tables, polynomial pieces).  The
+    pieces are a pure function of the grids and tables, so a LUT rebuilt
+    from them (:meth:`load`, :meth:`from_arrays`) answers bit for bit
+    like the original.
     """
 
     def __init__(self, characterization: CharacterizationResult):
@@ -56,42 +107,53 @@ class LookupTable:  # checks: process-shared
         self.vds_grid = characterization.vds_grid
         self.tables = {name: np.asarray(table) for name, table in characterization.tables.items()}
         degree = 3 if len(self.vgs_grid) > 3 and len(self.vds_grid) > 3 else 1
-        self._splines = {
-            name: RectBivariateSpline(self.vgs_grid, self.vds_grid, table, kx=degree, ky=degree)
-            for name, table in self.tables.items()
-        }
-        # Fixed bisection depth that shrinks the gm/Id bracket below
+        vgs_grid = np.asarray(self.vgs_grid, dtype=float)
+        vds_grid = np.asarray(self.vds_grid, dtype=float)
+        splines = [
+            RectBivariateSpline(vgs_grid, vds_grid, self.tables[name], kx=degree, ky=degree)
+            for name in LUT_OUTPUTS
+        ]
+        # Every output's spline has the same knots, all of them grid
+        # points, so each grid cell holds one bicubic piece.  Every
+        # product below is one small matrix product, which BLAS runs on
+        # one thread: the pieces depend on the grids and tables alone.
+        vgs_knots, vds_knots, _ = splines[0].tck
+        vds_basis = _basis(vds_knots, degree)
+        shape = (len(vgs_knots) - degree - 1, len(vds_knots) - degree - 1)
+        along_vgs = _taylor_rows(_basis(vgs_knots, degree), vgs_grid[:-1])
+        # (output, Vgs power, Vgs interval, Vds basis function).
+        partial = np.stack([along_vgs @ s.tck[2].reshape(shape) for s in splines])
+        along_vds = _taylor_rows(vds_basis, vds_grid[:-1]).transpose(0, 2, 1)
+        # (output, Vds power, Vgs power, Vgs interval, Vds interval).
+        self._pieces = partial[:, None] @ along_vds[None, :, None]
+        self.vds_scan = np.linspace(float(vds_grid[1]), float(vds_grid[-1]), VDS_SCAN_POINTS)
+        # The scan outputs at every scan point: (Vgs power, Vgs interval,
+        # output-major scan column).
+        outputs = [LUT_OUTPUTS.index(name) for name in SCAN_OUTPUTS]
+        scanned = partial[outputs] @ vds_basis(self.vds_scan).T
+        self._scan_pieces = np.ascontiguousarray(scanned.transpose(1, 2, 0, 3)).reshape(
+            4, len(vgs_grid) - 1, -1
+        )
+        # Fixed k-section depth that shrinks the gm/Id bracket below
         # VGS_XTOL; fixed so a row's answer never depends on its batch.
-        span = float(self.vgs_grid[-1]) - float(self.vgs_grid[1])
-        self._bisection_steps = int(np.ceil(np.log2(span / VGS_XTOL)))
+        self._vgs_steps = np.diff(vgs_grid)
+        widest = float(np.max(self._vgs_steps))
+        self._section_rounds = int(np.ceil(np.log(widest / VGS_XTOL) / np.log(_SECTIONS)))
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def query(self, output: str, vgs: ArrayLike, vds: ArrayLike) -> np.ndarray:
         """Spline-interpolated per-unit-width value of one output."""
-        if output not in self._splines:
+        if output not in LUT_OUTPUTS:
             raise KeyError(f"unknown LUT output {output!r}; expected one of {LUT_OUTPUTS}")
-        vgs_arr = np.asarray(vgs, dtype=float)
-        vds_arr = np.asarray(vds, dtype=float)
-        result = self._splines[output](vgs_arr, vds_arr, grid=False)
-        return result
-
-    def query_grid(self, output: str, vgs: np.ndarray, vds: np.ndarray) -> np.ndarray:
-        """One output at every ``(vgs[i], vds[j])`` pair, shape ``(len(vgs), len(vds))``.
-
-        ``vgs`` need not be sorted: it is sorted for the spline's grid
-        evaluation and the rows are put back in input order.  Each entry
-        is bit-identical to the pointwise :meth:`query` at that pair.
-        """
-        if output not in self._splines:
-            raise KeyError(f"unknown LUT output {output!r}; expected one of {LUT_OUTPUTS}")
-        vgs_arr = np.asarray(vgs, dtype=float)
-        order = np.argsort(vgs_arr, kind="stable")
-        values = self._splines[output](vgs_arr[order], np.asarray(vds, dtype=float), grid=True)
-        result = np.empty_like(values)
-        result[order] = values
-        return result
+        vgs_arr, vds_arr = np.broadcast_arrays(
+            np.asarray(vgs, dtype=float), np.asarray(vds, dtype=float)
+        )
+        row, vgs_offset = _locate(self.vgs_grid, vgs_arr)
+        column, vds_offset = _locate(self.vds_grid, vds_arr)
+        pieces = self._pieces[LUT_OUTPUTS.index(output)][:, :, row, column]
+        return _horner(_horner(pieces, vds_offset), vgs_offset)
 
     def query_all(self, vgs: ArrayLike, vds: ArrayLike) -> dict[str, np.ndarray]:
         """All five outputs at once (per unit width)."""
@@ -102,6 +164,24 @@ class LookupTable:  # checks: process-shared
         gm = self.query("gm", vgs, vds)
         id_ = self.query("id", vgs, vds)
         return gm / np.maximum(id_, 1e-30)
+
+    def scan(self, vgs: np.ndarray) -> np.ndarray:
+        """The :data:`SCAN_OUTPUTS` at every (``vgs[r]``, ``vds_scan[s]``)
+        pair, shape ``(len(vgs), len(SCAN_OUTPUTS), VDS_SCAN_POINTS)``.
+
+        Algorithm 1's ``Vds`` scan (lines 10-12): one gather of the
+        collapsed pieces and Horner's rule in ``Vgs``.
+        """
+        row, offset = _locate(self.vgs_grid, np.asarray(vgs, dtype=float))
+        offset = offset[:, None]
+        # Horner's rule gathering one power at a time: no (4, rows,
+        # columns) temporary, ~30% faster than _horner on the full gather.
+        pieces = self._scan_pieces
+        values = pieces[3][row]
+        for power in (2, 1, 0):
+            values *= offset
+            values += pieces[power][row]
+        return values.reshape(len(row), len(SCAN_OUTPUTS), VDS_SCAN_POINTS)
 
     # ------------------------------------------------------------------
     # gm/Id inversion (Algorithm 1, line 7)
@@ -133,33 +213,55 @@ class LookupTable:  # checks: process-shared
     def find_vgs_for_gm_id_many(self, targets: np.ndarray, vds: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`find_vgs_for_gm_id`: one ``Vgs`` per (target, Vds) row.
 
-        Bisection on ``[vgs_grid[1], vgs_grid[-1]]`` with a fixed step
-        count, so every row ends within :data:`VGS_XTOL` of a root and
-        its answer does not depend on the other rows of the batch.
+        At each row's ``Vds`` the gm and Id pieces collapse to one cubic
+        in ``Vgs`` per grid interval.  The root is bracketed by the first
+        knot of ``[vgs_grid[1], vgs_grid[-1]]`` where ``gm - target * Id``
+        turns non-positive, and that interval's cubic is k-sectioned a
+        fixed number of rounds, always keeping the lowest sign change.
+        Every row therefore ends within :data:`VGS_XTOL` of the lowest
+        root (weak-inversion wiggles can give several), and its answer
+        does not depend on the other rows of the batch.
         """
         targets = np.asarray(targets, dtype=float)
-        vds = np.broadcast_to(np.asarray(vds, dtype=float), targets.shape)
+        shape = targets.shape
+        targets = targets.ravel()
+        vds = np.broadcast_to(np.asarray(vds, dtype=float), shape).ravel()
         if not np.all(targets > 0):
             raise ValueError(f"gm/Id targets must be positive, got {targets[~(targets > 0)]}")
-        vgs_lo = float(self.vgs_grid[1])
-        vgs_hi = float(self.vgs_grid[-1])
-        lower = np.full(targets.shape, vgs_lo)
-        upper = np.full(targets.shape, vgs_hi)
-        for _ in range(self._bisection_steps):
-            middle = 0.5 * (lower + upper)
-            # gm/Id falls with Vgs: above the target, the root lies higher.
-            above = self.gm_over_id(middle, vds) > targets
-            lower = np.where(above, middle, lower)
-            upper = np.where(above, upper, middle)
-        vgs = 0.5 * (lower + upper)
-        vgs = np.where(targets <= self.gm_over_id(vgs_hi, vds), vgs_hi, vgs)
-        return np.where(targets >= self.gm_over_id(vgs_lo, vds), vgs_lo, vgs)
+        column, vds_offset = _locate(self.vds_grid, vds)
+        # gm, Id and gm - target*Id as cubics in Vgs on every grid
+        # interval: (Vgs power, interval, row).
+        gm = _horner(self._pieces[_GM][..., column], vds_offset)
+        id_ = _horner(self._pieces[_ID][..., column], vds_offset)
+        residual = gm - targets * id_
+        steps = self._vgs_steps
+        ratio_lo = gm[0, 1] / np.maximum(id_[0, 1], 1e-30)
+        ratio_hi = _horner(gm[:, -1], steps[-1]) / np.maximum(_horner(id_[:, -1], steps[-1]), 1e-30)
+        # gm/Id falls with Vgs: the first knot past vgs_grid[1] where
+        # gm - target*Id is no longer positive closes the lowest bracket
+        # (the last knot closes it for every row that is not clamped).
+        closed = np.ones((len(steps) - 1, len(targets)), dtype=bool)
+        np.less_equal(residual[0, 2:], 0.0, out=closed[:-1])
+        interval = np.argmax(closed, axis=0) + 1
+        cubic = residual[:, interval, np.arange(len(targets))][:, :, None]
+        lower = np.zeros(len(targets))
+        step = steps[interval]
+        for _ in range(self._section_rounds):
+            step = step / _SECTIONS
+            values = _horner(cubic, lower[:, None] + step[:, None] * _FRACTIONS)
+            closed = values <= 0.0
+            closed[:, -1] = True
+            lower += np.argmax(closed, axis=1) * step
+        vgs = self.vgs_grid[interval] + lower + 0.5 * step
+        vgs = np.where(targets <= ratio_hi, float(self.vgs_grid[-1]), vgs)
+        vgs = np.where(targets >= ratio_lo, float(self.vgs_grid[1]), vgs)
+        return vgs.reshape(shape)
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Serialize the table (not the splines) to an ``.npz`` file."""
+        """Serialize the table (not the pieces) to an ``.npz`` file."""
         payload = {
             "tech_name": np.array(self.tech.name),
             "length": np.array(self.length),
@@ -202,7 +304,7 @@ class LookupTable:  # checks: process-shared
         no-copy view for ndarray subclasses), so memory-mapped read-only
         views from a shared artifact stay mmap-backed — the basis of the
         sharded engine's N-workers-for-1x-model-memory property.  Only
-        the spline coefficients are computed (and owned) privately.
+        the polynomial pieces are computed (and owned) privately.
         """
         tech = _TECH_BY_NAME.get(tech_name)
         if tech is None:

@@ -26,18 +26,21 @@ round and LUT, over every device of every request that parsed in that
 round.  Each row keeps its own active mask, so its iterations, stopping
 rule and strict-``<`` best-so-far are exactly those of a lone run, and its
 result is bit-identical whatever other rows share the call.  Per
-iteration the batch costs:
+iteration the batch costs, in numpy alone (scipy only builds the LUT's
+polynomial pieces, once):
 
-* one grid evaluation per LUT output for the ``Vds`` scan: the spline is
-  evaluated on the outer product (rows' ``Vgs`` sorted) x ``Vds`` scan
-  and the rows are un-sorted, which is bit-identical to evaluating each
-  row pointwise but far cheaper;
 * one vectorised gm/Id -> ``Vgs`` inversion
-  (:meth:`~repro.lut.LookupTable.find_vgs_for_gm_id_many`): a bisection
-  with a fixed step count, so the answer is within ``1e-7`` V of a root.
-  It replaced a per-device ``brentq`` solve; the two agree to within
-  ``1e-6`` V in ``Vgs`` and ``1e-5`` relative width (an oracle test pins
-  this), not bit for bit.
+  (:meth:`~repro.lut.LookupTable.find_vgs_for_gm_id_many`): gm and Id
+  collapse to one cubic in ``Vgs`` per grid interval at each row's
+  ``Vds``, the target is bracketed between knot values and the
+  bracket's cubic is k-sectioned to within ``1e-7`` V of its lowest
+  root.  It replaced a per-device ``brentq`` solve; the two agree to
+  within ``1e-6`` V in ``Vgs`` and ``1e-5`` relative width (an oracle
+  test pins this), not bit for bit;
+* one ``Vds`` scan (:meth:`~repro.lut.LookupTable.scan`): a gather of
+  the LUT's pieces collapsed onto the fixed 241-point scan and Horner's
+  rule in ``Vgs``, for the four cost outputs;
+* one pointwise ``Id`` query per row, at its cost minimizer only.
 
 Rows whose predicted parameters are not all positive and finite are not
 estimated; they come back with ``valid == False`` and an infinite spread,
@@ -48,10 +51,11 @@ so a caller rejects them like an inconsistent prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .table import LookupTable
+from .table import SCAN_OUTPUTS, LookupTable
 
 __all__ = [
     "DeviceParams",
@@ -107,9 +111,9 @@ class WidthEstimate:
         return float((np.max(values) - np.min(values)) / mean)
 
 
-_CANDIDATE_OUTPUTS = ("gm", "gds", "cds", "cgs", "id")
-#: Candidates entering the cost (w1..w4 per line 11; w5 = Id is excluded).
-_COST_OUTPUTS = ("gm", "gds", "cds", "cgs")
+#: w1..w4 enter the cost (line 11, :data:`~repro.lut.table.SCAN_OUTPUTS`);
+#: w5 = Id does not.
+_CANDIDATE_OUTPUTS = (*SCAN_OUTPUTS, "id")
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,6 @@ def estimate_widths(
     alpha: float = 1e-4,
     epsilon: float | np.ndarray | None = None,
     max_iterations: int = 50,
-    vds_points: int = 241,
     update: str = "jump",
 ) -> WidthEstimates:
     """Run Algorithm 1 on a batch of devices that share one LUT.
@@ -189,8 +192,6 @@ def estimate_widths(
     epsilon:
         Convergence threshold on the cost change (line 5); defaults per
         row to a value scaled to the candidate magnitudes.
-    vds_points:
-        Resolution of the ``Vds`` cost scan (line 12 minimizes over Vds).
     update:
         ``"jump"`` (default) sets the next ``Vds`` to the scanned cost
         minimizer; ``"paper"`` takes line 14's small signed step.
@@ -211,7 +212,6 @@ def estimate_widths(
     valid = np.all((predicted > 0) & np.isfinite(predicted), axis=1)
     vds_lo = float(lut.vds_grid[1])
     vds_hi = float(lut.vds_grid[-1])
-    vds_scan = np.linspace(vds_lo, vds_hi, vds_points)
 
     if epsilon is None:
         # Scale the threshold to the size of the answer: candidate widths
@@ -238,24 +238,20 @@ def estimate_widths(
         params = predicted[active]
         vds_here = vds_curr[active]
         vgs = lut.find_vgs_for_gm_id_many(params[:, 0] / params[:, 4], vds_here)
-        # Candidate widths w_i(Vds) at each row's Vgs (line 10):
-        # shape (rows, outputs, Vds scan).
-        candidates = np.stack(
-            [
-                params[:, [k]] / np.maximum(lut.query_grid(name, vgs, vds_scan), 1e-30)
-                for k, name in enumerate(_CANDIDATE_OUTPUTS)
-            ],
-            axis=1,
-        )
+        # Candidate widths w1..w4 over the Vds scan at each row's Vgs
+        # (line 10): shape (rows, cost outputs, Vds scan).
+        candidates = params[:, : len(SCAN_OUTPUTS), None] / np.maximum(lut.scan(vgs), 1e-30)
         # Pairwise disagreement cost over w1..w4 (line 11).
-        cost = np.zeros((len(active), vds_points))
-        for i in range(len(_COST_OUTPUTS)):
-            for j in range(i + 1, len(_COST_OUTPUTS)):
-                cost = cost + np.abs(candidates[:, i] - candidates[:, j])
+        cost = np.zeros((len(active), len(lut.vds_scan)))
+        for i, j in combinations(range(len(SCAN_OUTPUTS)), 2):
+            cost += np.abs(candidates[:, i] - candidates[:, j])
         k_min = np.argmin(cost, axis=1)
         picked = np.arange(len(active))
         cost_curr = cost[picked, k_min]
-        vds_min = vds_scan[k_min]
+        vds_min = lut.vds_scan[k_min]
+        # w5 = Id is only needed at the minimizer.
+        id_min = np.maximum(lut.query("id", vgs, vds_min), 1e-30)
+        chosen = np.column_stack([candidates[picked, :, k_min], params[:, 4] / id_min])
 
         # Strict improvement keeps the earliest best (line 12's argmin).
         better = (iteration == 1) | (cost_curr < best_cost[active])
@@ -263,7 +259,7 @@ def estimate_widths(
         best_cost[improved] = cost_curr[better]
         best_vgs[improved] = vgs[better]
         best_vds[improved] = vds_min[better]
-        best_candidates[improved] = candidates[picked[better], :, k_min[better]]
+        best_candidates[improved] = chosen[better]
 
         delta = cost_prev[active] - cost_curr
         done = np.abs(delta) < epsilon[active]
@@ -296,7 +292,6 @@ def estimate_width(
     alpha: float = 1e-4,
     epsilon: float | None = None,
     max_iterations: int = 50,
-    vds_points: int = 241,
     update: str = "jump",
 ) -> WidthEstimate:
     """Run Algorithm 1 for one device: a batch of one through
@@ -312,7 +307,6 @@ def estimate_width(
         alpha=alpha,
         epsilon=epsilon,
         max_iterations=max_iterations,
-        vds_points=vds_points,
         update=update,
     )
     return estimates.row(0)

@@ -161,8 +161,9 @@ def load_shared_model(directory: str | Path) -> SizingModel:
     The transformer's parameters and every LUT grid/table alias the
     page cache mapping of ``arrays.npy`` (check ``array.base`` for
     ``np.memmap``), so concurrently loaded copies in other processes
-    share physical memory.  Only small derived state — spline
-    coefficients, tokenizer dicts — is private per process.
+    share physical memory.  Only small derived state — the LUTs'
+    polynomial pieces (~0.9 MB each), tokenizer dicts — is private per
+    process.
     """
     artifact = SharedArtifact.open(directory)
     manifest = artifact.manifest

@@ -117,6 +117,12 @@ class Circuit:
     #: only — the elements already carry the corner-skewed values.  Set by
     #: ``OTATopology.build_circuit`` and surfaced in the SPICE export header.
     corner: Corner | None = None
+    #: Names the ``add_*`` helpers have registered, so a duplicate check
+    #: costs one set lookup instead of a walk over every element.
+    _names: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._names = self.element_names()
 
     # ------------------------------------------------------------------
     # Element construction helpers
@@ -132,7 +138,6 @@ class Circuit:
         length: float,
     ) -> MOSFET:
         """Create, register and return a MOSFET instance."""
-        self._check_unique(name)
         device = MOSFET(
             name=name,
             drain=canonical_node(drain),
@@ -142,36 +147,23 @@ class Circuit:
             width=width,
             length=length,
         )
-        self.mosfets.append(device)
-        return device
+        return self._register(self.mosfets, device)
 
     def add_resistor(self, name: str, node1: str, node2: str, resistance: float) -> Resistor:
-        self._check_unique(name)
-        element = Resistor(name, node1, node2, resistance)
-        self.resistors.append(element)
-        return element
+        return self._register(self.resistors, Resistor(name, node1, node2, resistance))
 
     def add_capacitor(self, name: str, node1: str, node2: str, capacitance: float) -> Capacitor:
-        self._check_unique(name)
-        element = Capacitor(name, node1, node2, capacitance)
-        self.capacitors.append(element)
-        return element
+        return self._register(self.capacitors, Capacitor(name, node1, node2, capacitance))
 
     def add_vsource(
         self, name: str, pos: str, neg: str, dc: float, ac: float = 0.0
     ) -> VSource:
-        self._check_unique(name)
-        element = VSource(name, pos, neg, dc, ac)
-        self.vsources.append(element)
-        return element
+        return self._register(self.vsources, VSource(name, pos, neg, dc, ac))
 
     def add_isource(
         self, name: str, pos: str, neg: str, dc: float, ac: float = 0.0
     ) -> ISource:
-        self._check_unique(name)
-        element = ISource(name, pos, neg, dc, ac)
-        self.isources.append(element)
-        return element
+        return self._register(self.isources, ISource(name, pos, neg, dc, ac))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -188,9 +180,13 @@ class Circuit:
             names.update(element.name for element in group)
         return names
 
-    def _check_unique(self, name: str) -> None:
-        if name in self.element_names():
-            raise ValueError(f"duplicate element name {name!r} in circuit {self.name!r}")
+    def _register(self, group: list, element):
+        """Append a constructed element under a name not yet taken."""
+        if element.name in self._names:
+            raise ValueError(f"duplicate element name {element.name!r} in circuit {self.name!r}")
+        group.append(element)
+        self._names.add(element.name)
+        return element
 
     def nodes(self) -> list[str]:
         """All non-ground node names, in deterministic (insertion) order."""

@@ -8,18 +8,23 @@ from scipy.optimize import brentq
 
 from repro.devices import EKVModel, NMOS_65NM, PMOS_65NM
 from repro.lut import (
+    LUT_OUTPUTS,
+    SCAN_OUTPUTS,
     DeviceParams,
     LookupTable,
     build_lut,
     estimate_width,
     estimate_widths,
 )
+from tests.lut_oracle import SplineReference, gm_id_roots, reference_estimate_widths
 
 L = 180e-9
 
-#: Agreement of the vectorised bisection with the brentq oracle.
+#: Agreement of the vectorised inversion with the brentq oracle.
 VGS_TOL = 1e-6
 WIDTH_RTOL = 1e-5
+#: Agreement of the LUT's polynomial tables with the scipy spline.
+TABLE_RTOL = 1e-12
 
 
 def brentq_find_vgs(lut, target, vds):
@@ -291,7 +296,7 @@ class TestBatchedKernel:
 
 
 class TestBrentqOracle:
-    """The fixed-step bisection agrees with the brentq inversion it
+    """The vectorised gm/Id inversion agrees with the brentq inversion it
     replaced to within the pinned tolerances."""
 
     @pytest.mark.parametrize("lut_name", ["nmos_lut", "pmos_lut"])
@@ -317,3 +322,110 @@ class TestBrentqOracle:
         )
         assert np.max(np.abs(got.vgs - oracle.vgs)) <= VGS_TOL
         assert np.max(np.abs(got.width - oracle.width) / oracle.width) <= WIDTH_RTOL
+
+
+class TestSplineOracle:
+    """The LUT evaluates power-basis pieces of the scipy spline; they
+    agree with the spline itself, in the grid and clamped outside it."""
+
+    @pytest.mark.parametrize("lut_name", ["nmos_lut", "pmos_lut"])
+    def test_tables_match_spline(self, request, lut_name):
+        lut = request.getfixturevalue(lut_name)
+        reference = SplineReference(lut)
+        rng = np.random.default_rng(4)
+        grid = lut.vgs_grid
+        edges = np.array([grid[0], grid[1], grid[-2], grid[-1]])
+        knots = grid[2:-2]
+        vgs = np.concatenate(
+            [
+                rng.uniform(grid[0], grid[-1], 300),  # random
+                np.repeat(grid, len(grid)),  # on grid
+                knots + 1e-13,  # just past a knot
+                knots - 1e-13,  # just before a knot
+                np.repeat(edges, 4),  # grid edges
+                rng.uniform(-0.5, 2.0, 100),  # mostly out of grid (clamped)
+            ]
+        )
+        vds = np.concatenate(
+            [
+                rng.uniform(grid[0], grid[-1], 300),
+                np.tile(lut.vds_grid, len(grid)),
+                rng.uniform(grid[0], grid[-1], 2 * len(knots)),
+                np.tile(edges, 4),
+                rng.uniform(-0.5, 2.0, 100),
+            ]
+        )
+        for name in LUT_OUTPUTS:
+            np.testing.assert_allclose(
+                lut.query(name, vgs, vds),
+                reference.query(name, vgs, vds),
+                rtol=TABLE_RTOL,
+                atol=1e-30,
+                err_msg=name,
+            )
+        scanned = [reference.query_grid(name, vgs, lut.vds_scan) for name in SCAN_OUTPUTS]
+        np.testing.assert_allclose(lut.scan(vgs), np.stack(scanned, axis=1), rtol=TABLE_RTOL)
+
+    def test_out_of_grid_queries_clamp(self, nmos_lut):
+        assert nmos_lut.query("gm", 1.3, 0.6) == nmos_lut.query("gm", 1.2, 0.6)
+        assert nmos_lut.query("id", 0.6, -0.2) == nmos_lut.query("id", 0.6, 0.0)
+
+    @pytest.mark.parametrize("lut_name", ["nmos_lut", "pmos_lut"])
+    def test_widths_match_reference_kernel(self, request, lut_name):
+        lut = request.getfixturevalue(lut_name)
+        reference = SplineReference(lut)
+        rows = device_rows(200)
+        got = estimate_widths(lut, *rows.T)
+        want = reference_estimate_widths(reference, *rows.T)
+        assert np.array_equal(got.valid, want.valid)
+        off = np.flatnonzero(~(np.abs(got.width - want.width) / want.width <= WIDTH_RTOL))
+        # Only where weak-inversion wiggles give gm/Id several roots may
+        # the two differ: the old bisection could stop at a higher root,
+        # the inversion keeps the lowest.
+        assert len(off) <= 2
+        for index in off:
+            target = rows[index, 0] / rows[index, 4]
+            assert len(gm_id_roots(reference, target, 0.6)) > 1
+            assert got.vgs[index] < want.vgs[index]
+
+
+class TestInversionRoots:
+    def test_lowest_of_several_roots(self, nmos_lut):
+        # gm/Id = 29.58 crosses three times in weak inversion at Vds = 0.6.
+        roots = gm_id_roots(SplineReference(nmos_lut), 29.58, 0.6)
+        assert len(roots) == 3
+        assert roots[0] == pytest.approx(0.0716, abs=1e-3)
+        assert roots[1:] == pytest.approx([0.1259, 0.1348], abs=1e-3)
+        vgs = nmos_lut.find_vgs_for_gm_id(29.58, 0.6)
+        assert abs(vgs - roots[0]) <= VGS_TOL
+
+    def test_lowest_root_on_a_device_row(self, nmos_lut):
+        # The fixed-step bisection stopped at 0.1353 V on this row, where
+        # brentq finds 0.0718 V.
+        row = device_rows(2000, seed=5)[1576]
+        got = estimate_widths(nmos_lut, *row)
+        oracle = estimate_widths(brentq_twin(nmos_lut), *row)
+        assert got.vgs[0] == pytest.approx(0.0718, abs=1e-3)
+        assert abs(got.vgs[0] - oracle.vgs[0]) <= VGS_TOL
+        assert abs(got.width[0] - oracle.width[0]) / oracle.width[0] <= WIDTH_RTOL
+        reference = reference_estimate_widths(SplineReference(nmos_lut), *row)
+        assert reference.vgs[0] == pytest.approx(0.1353, abs=1e-3)
+
+    @pytest.mark.parametrize("lut_name", ["nmos_lut", "pmos_lut"])
+    def test_rebuilt_lut_is_bit_identical(self, request, lut_name, tmp_path):
+        lut = request.getfixturevalue(lut_name)
+        lut.save(tmp_path / "lut.npz")
+        rows = device_rows(40, seed=13)
+        want = estimate_widths(lut, *rows.T)
+        rebuilt = LookupTable.from_arrays(
+            lut.tech.name,
+            length=lut.length,
+            reference_width=lut.reference_width,
+            vgs_grid=lut.vgs_grid,
+            vds_grid=lut.vds_grid,
+            tables=lut.tables,
+        )
+        for twin in (LookupTable.load(tmp_path / "lut.npz"), rebuilt):
+            got = estimate_widths(twin, *rows.T)
+            for field in ("width", "vgs", "vds", "candidates", "cost", "iterations", "converged"):
+                assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)

@@ -23,6 +23,32 @@ class TestCircuitContainer:
         with pytest.raises(ValueError):
             circuit.add_capacitor("R1", "a", "b", 1e-12)
 
+    def test_duplicate_names_rejected_after_copy(self):
+        circuit = Circuit("c")
+        circuit.add_resistor("R1", "a", "b", 1e3)
+        circuit.add_vsource("V1", "a", "0", 1.0)
+        dup = circuit.copy()
+        for add in (
+            lambda c: c.add_capacitor("R1", "a", "b", 1e-12),
+            lambda c: c.add_isource("V1", "a", "0", 1e-6),
+        ):
+            for target in (circuit, dup):
+                with pytest.raises(ValueError):
+                    add(target)
+        # The copy keeps its own names: a new one on the copy stays free
+        # on the original, and the name set stays out of equality/repr.
+        dup.add_resistor("R2", "b", "0", 1e3)
+        circuit.add_resistor("R2", "b", "0", 1e3)
+        assert dup == circuit
+        assert "_names" not in repr(circuit)
+
+    def test_rejected_element_does_not_take_its_name(self):
+        circuit = Circuit("c")
+        with pytest.raises(ValueError):
+            circuit.add_resistor("R", "a", "b", -1.0)
+        circuit.add_resistor("R", "a", "b", 1.0)
+        assert circuit.element_names() == {"R"}
+
     def test_invalid_element_values_rejected(self):
         circuit = Circuit("c")
         with pytest.raises(ValueError):
